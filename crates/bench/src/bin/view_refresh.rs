@@ -215,11 +215,7 @@ fn measure(orders: usize, customers: usize, churn_fraction: f64, commits: usize)
             recompute_allocs = allocs;
         }
         assert_eq!(
-            views
-                .get("region_totals")
-                .expect("view exists")
-                .data()
-                .as_ref(),
+            views.get("region_totals").expect("view exists").data(),
             &fresh,
             "refresh diverged from recompute at churn {churn_fraction}"
         );

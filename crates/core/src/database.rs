@@ -86,9 +86,11 @@ impl fmt::Display for DatabaseSchema {
 /// A database state `D_t`: one relation instance per declared schema, plus
 /// the logical time.
 ///
-/// Cloning a state is the snapshot primitive transactions use to implement
-/// abort; relation payloads are plain values so a clone is a deep copy of
-/// the counted maps (cheap relative to duplicate-expanded copies).
+/// Cloning a state is the snapshot primitive transactions run against.
+/// Relations share their bags copy-on-write, so a clone copies only the
+/// name map; a relation's bag is copied once, by the first write to it
+/// through the clone, and every relation the clone never writes stays
+/// shared with the original.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Database {
     schema: Arc<DatabaseSchema>,
@@ -150,6 +152,15 @@ impl Database {
             .ok_or_else(|| CoreError::UnknownRelation(name.to_owned()))
     }
 
+    /// Borrows a relation for in-place mutation (the §4 statements change
+    /// only their target relation). The first write through a shared
+    /// relation copies its bag; see [`Relation`].
+    pub fn relation_mut(&mut self, name: &str) -> CoreResult<&mut Relation> {
+        self.relations
+            .get_mut(name)
+            .ok_or_else(|| CoreError::UnknownRelation(name.to_owned()))
+    }
+
     /// Replaces the instance of a declared relation (the `R ← E` replacement
     /// of Definition 4.1). The new instance must be type-compatible with the
     /// declared schema.
@@ -158,16 +169,6 @@ impl Database {
         declared.check_same_types(rel.schema())?;
         self.relations.insert(name.to_owned(), rel);
         Ok(())
-    }
-
-    /// Applies a relation-to-relation transformation in place.
-    pub fn update_with<F>(&mut self, name: &str, f: F) -> CoreResult<()>
-    where
-        F: FnOnce(&Relation) -> CoreResult<Relation>,
-    {
-        let cur = self.relation(name)?;
-        let next = f(cur)?;
-        self.replace(name, next)
     }
 
     /// Advances logical time by one step, returning the new time.
@@ -333,15 +334,16 @@ mod tests {
     }
 
     #[test]
-    fn update_with_transforms_in_place() {
+    fn relation_mut_edits_in_place() {
         let mut db = beer_db();
-        db.update_with("beer", |r| {
-            let mut r = r.clone();
-            r.insert(tuple!["Guinness", "StJames", 4.2_f64], 2)?;
-            Ok(r)
-        })
-        .unwrap();
+        db.relation_mut("beer")
+            .and_then(|r| r.insert(tuple!["Guinness", "StJames", 4.2_f64], 2))
+            .unwrap();
         assert_eq!(db.relation("beer").unwrap().len(), 2);
+        assert!(matches!(
+            db.relation_mut("nosuch"),
+            Err(CoreError::UnknownRelation(_))
+        ));
     }
 
     #[test]
@@ -367,12 +369,9 @@ mod tests {
     fn transition_detects_changes() {
         let d0 = beer_db();
         let mut d1 = d0.clone();
-        d1.update_with("beer", |r| {
-            let mut r = r.clone();
-            r.insert(tuple!["Grolsch", "Grolsche", 5.0_f64], 1)?;
-            Ok(r)
-        })
-        .unwrap();
+        d1.relation_mut("beer")
+            .and_then(|r| r.insert(tuple!["Grolsch", "Grolsche", 5.0_f64], 1))
+            .unwrap();
         d1.tick();
         d1.tick(); // multi-step transitions are allowed
         let t = Transition::new(d0, d1).unwrap();
@@ -401,12 +400,9 @@ mod tests {
     #[test]
     fn from_parts_rebuilds_a_state() {
         let mut db = beer_db();
-        db.update_with("beer", |r| {
-            let mut r = r.clone();
-            r.insert(tuple!["Grolsch", "Grolsche", 5.0_f64], 2)?;
-            Ok(r)
-        })
-        .unwrap();
+        db.relation_mut("beer")
+            .and_then(|r| r.insert(tuple!["Grolsch", "Grolsche", 5.0_f64], 2))
+            .unwrap();
         db.tick();
         db.tick();
         let rebuilt = Database::from_parts(
@@ -457,12 +453,9 @@ mod tests {
     fn snapshot_clone_isolates_states() {
         let mut db = beer_db();
         let snap = db.clone();
-        db.update_with("beer", |r| {
-            let mut r = r.clone();
-            r.insert(tuple!["X", "Y", 1.0_f64], 1)?;
-            Ok(r)
-        })
-        .unwrap();
+        db.relation_mut("beer")
+            .and_then(|r| r.insert(tuple!["X", "Y", 1.0_f64], 1))
+            .unwrap();
         assert_eq!(snap.relation("beer").unwrap().len(), 0);
         assert_eq!(db.relation("beer").unwrap().len(), 1);
     }

@@ -145,10 +145,21 @@ impl<T: Eq + Hash + Clone> Bag<T> {
     /// Multi-set union `B₁ ⊎ B₂`: multiplicities add.
     pub fn union(&self, other: &Self) -> CoreResult<Self> {
         let mut out = self.clone();
-        for (x, m) in other.iter() {
-            out.insert(x.clone(), m)?;
-        }
+        out.union_in_place(other)?;
         Ok(out)
+    }
+
+    /// In-place union `B₁ ← B₁ ⊎ B₂`, O(|B₂|). Every multiplicity is
+    /// bounded by the total, so checking the total up front makes the
+    /// fold all-or-nothing: on overflow `self` is unchanged.
+    pub fn union_in_place(&mut self, other: &Self) -> CoreResult<()> {
+        self.len
+            .checked_add(other.len)
+            .ok_or(CoreError::Overflow("bag cardinality"))?;
+        for (x, m) in other.iter() {
+            self.insert(x.clone(), m)?;
+        }
+        Ok(())
     }
 
     /// In-place union absorbing `other` (multiplicities add) without

@@ -5,6 +5,11 @@
 //! is defined on. Every operator validates schema compatibility before
 //! delegating the multiplicity arithmetic to the bag layer, so this module
 //! is the *semantics kernel* the reference evaluator is built from.
+//!
+//! The bag is shared copy-on-write: cloning a relation is an `Arc` clone,
+//! and the first mutation of a shared instance copies its bag once. A
+//! database state, every transaction's working copy of it and every
+//! retained version therefore share the relations none of them changed.
 
 use std::fmt;
 use std::sync::Arc;
@@ -18,16 +23,13 @@ use crate::tuple::{AttrList, Tuple};
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: SchemaRef,
-    tuples: Bag<Tuple>,
+    tuples: Arc<Bag<Tuple>>,
 }
 
 impl Relation {
     /// The empty relation over `schema`.
     pub fn empty(schema: SchemaRef) -> Self {
-        Relation {
-            schema,
-            tuples: Bag::new(),
-        }
+        Relation::from_bag(schema, Bag::new())
     }
 
     /// Builds a relation from duplicated tuples, validating each against the
@@ -58,7 +60,10 @@ impl Relation {
     /// Rebuilds a relation from an already-validated bag (crate-internal
     /// fast path for operators that cannot produce ill-typed tuples).
     pub(crate) fn from_bag(schema: SchemaRef, tuples: Bag<Tuple>) -> Self {
-        Relation { schema, tuples }
+        Relation {
+            schema,
+            tuples: Arc::new(tuples),
+        }
     }
 
     /// The schema this relation is defined on.
@@ -95,13 +100,39 @@ impl Relation {
     /// schema.
     pub fn insert(&mut self, t: Tuple, m: u64) -> CoreResult<()> {
         self.schema.check_tuple(&t)?;
-        self.tuples.insert(t, m)
+        if m == 0 {
+            return Ok(());
+        }
+        Arc::make_mut(&mut self.tuples).insert(t, m)
     }
 
     /// Removes up to `m` occurrences of a tuple, returning how many were
-    /// removed.
+    /// removed. A removal that finds nothing leaves a shared bag shared.
     pub fn remove(&mut self, t: &Tuple, m: u64) -> u64 {
-        self.tuples.remove(t, m)
+        if m == 0 || !self.tuples.contains(t) {
+            return 0;
+        }
+        Arc::make_mut(&mut self.tuples).remove(t, m)
+    }
+
+    /// In-place union `R ← R ⊎ E`: O(|E|), and all-or-nothing on
+    /// multiplicity overflow. An empty `E` leaves a shared bag shared.
+    pub fn union_in_place(&mut self, other: &Relation) -> CoreResult<()> {
+        self.schema.check_same_types(&other.schema)?;
+        if other.is_empty() {
+            return Ok(());
+        }
+        Arc::make_mut(&mut self.tuples).union_in_place(&other.tuples)
+    }
+
+    /// In-place difference `R ← R − E` (`max(0, m₁ − m₂)` pointwise):
+    /// O(|E|), and only a removal that finds something unshares the bag.
+    pub fn difference_in_place(&mut self, other: &Relation) -> CoreResult<()> {
+        self.schema.check_same_types(&other.schema)?;
+        for (t, m) in other.iter() {
+            self.remove(t, m);
+        }
+        Ok(())
     }
 
     /// Iterates `(tuple, multiplicity)` pairs in arbitrary order.
@@ -132,9 +163,10 @@ impl Relation {
         &self.tuples
     }
 
-    /// Consumes the relation, returning its bag.
+    /// Consumes the relation, returning its bag (copied only if another
+    /// relation still shares it).
     pub fn into_bag(self) -> Bag<Tuple> {
-        self.tuples
+        Arc::unwrap_or_clone(self.tuples)
     }
 
     // ------------------------------------------------------------------
@@ -237,6 +269,15 @@ impl PartialEq for Relation {
 }
 
 impl Eq for Relation {}
+
+/// Borrowing a relation as itself lets code written against `&Relation`,
+/// `Arc<Relation>` or any other `AsRef<Relation>` holder take a plain
+/// relation too (relations are cheap to share, so a plain one is common).
+impl AsRef<Relation> for Relation {
+    fn as_ref(&self) -> &Relation {
+        self
+    }
+}
 
 impl fmt::Display for Relation {
     /// Renders the relation as a fixed-width table with a multiplicity
@@ -450,6 +491,53 @@ mod tests {
         assert_eq!(r.remove(&tuple![1_i64], 1), 1);
         assert_eq!(r.len(), 2);
         assert_eq!(r.remove(&tuple![9_i64], 1), 0);
+    }
+
+    #[test]
+    fn clones_share_until_written() {
+        let a = ints(&[1, 1, 2]);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.tuples, &b.tuples));
+        // misses and no-op writes keep the bag shared
+        assert_eq!(b.remove(&tuple![9_i64], 1), 0);
+        b.insert(tuple![1_i64], 0).unwrap();
+        b.union_in_place(&ints(&[])).unwrap();
+        b.difference_in_place(&ints(&[7])).unwrap();
+        assert!(Arc::ptr_eq(&a.tuples, &b.tuples));
+        // the first real write copies once; the original is untouched
+        b.insert(tuple![3_i64], 1).unwrap();
+        assert!(!Arc::ptr_eq(&a.tuples, &b.tuples));
+        assert_eq!(a.len(), 3);
+        assert_eq!(b.len(), 4);
+    }
+
+    #[test]
+    fn in_place_union_and_difference_match_the_operators() {
+        let a = ints(&[1, 1, 2, 3]);
+        let e = ints(&[1, 2, 2, 4]);
+        let mut u = a.clone();
+        u.union_in_place(&e).unwrap();
+        assert_eq!(u, a.union(&e).unwrap());
+        let mut d = a.clone();
+        d.difference_in_place(&e).unwrap();
+        assert_eq!(d, a.difference(&e).unwrap());
+        assert!(matches!(
+            d.union_in_place(&beer()),
+            Err(CoreError::SchemaMismatch { .. })
+        ));
+        assert!(d.difference_in_place(&beer()).is_err());
+    }
+
+    #[test]
+    fn in_place_union_overflow_changes_nothing() {
+        let mut a = ints(&[1]);
+        let mut huge = Relation::empty(Arc::clone(a.schema()));
+        huge.insert(tuple![2_i64], u64::MAX).unwrap();
+        assert!(matches!(
+            a.union_in_place(&huge),
+            Err(CoreError::Overflow(_))
+        ));
+        assert_eq!(a, ints(&[1]));
     }
 
     #[test]

@@ -131,11 +131,13 @@ impl HashIndex {
     }
 }
 
-/// A set of indexes over a database's relations.
+/// A set of indexes over a database's relations. Indexes are shared
+/// copy-on-write: cloning the set copies one `Arc` per index, and
+/// [`Self::apply_commit`] copies only the indexes of the relation it folds.
 #[derive(Debug, Clone, Default)]
 pub struct IndexSet {
     // (relation name, sorted key attrs) → index
-    indexes: FxHashMap<(String, Vec<usize>), HashIndex>,
+    indexes: FxHashMap<(String, Vec<usize>), Arc<HashIndex>>,
 }
 
 impl IndexSet {
@@ -150,7 +152,8 @@ impl IndexSet {
         let index = HashIndex::build(rel, keys)?;
         let mut sorted = keys.to_vec();
         sorted.sort_unstable();
-        self.indexes.insert((relation.to_owned(), sorted), index);
+        self.indexes
+            .insert((relation.to_owned(), sorted), Arc::new(index));
         Ok(())
     }
 
@@ -169,7 +172,9 @@ impl IndexSet {
     pub fn find(&self, relation: &str, keys: &[usize]) -> Option<&HashIndex> {
         let mut sorted = keys.to_vec();
         sorted.sort_unstable();
-        self.indexes.get(&(relation.to_owned(), sorted))
+        self.indexes
+            .get(&(relation.to_owned(), sorted))
+            .map(AsRef::as_ref)
     }
 
     /// Drops all indexes of a relation.
@@ -183,7 +188,7 @@ impl IndexSet {
     pub fn apply_commit(&mut self, relation: &str, delta: &SignedBag<Tuple>) -> CoreResult<()> {
         for ((r, _), index) in self.indexes.iter_mut() {
             if r == relation {
-                index.apply_delta(delta)?;
+                Arc::make_mut(index).apply_delta(delta)?;
             }
         }
         Ok(())
@@ -195,7 +200,7 @@ impl IndexSet {
     /// only the definitions were durable.
     pub fn rebuild(&mut self, db: &Database) -> CoreResult<()> {
         for ((relation, keys), index) in self.indexes.iter_mut() {
-            *index = HashIndex::build(db.relation(relation)?, keys)?;
+            *index = Arc::new(HashIndex::build(db.relation(relation)?, keys)?);
         }
         Ok(())
     }

@@ -17,6 +17,8 @@
 //! `DeclareKey` record); the counts are rebuilt from the database on
 //! recovery, exactly like index entries.
 
+use std::sync::Arc;
+
 use mera_core::prelude::*;
 use rustc_hash::FxHashMap;
 
@@ -110,11 +112,13 @@ impl KeyCounts {
     }
 }
 
-/// All declared keys, with their live enforcement counts.
+/// All declared keys, with their live enforcement counts. Counts are
+/// shared copy-on-write: cloning the set copies one `Arc` per key, and
+/// [`Self::apply_commit`] copies only the counts of the relation it folds.
 #[derive(Debug, Clone, Default)]
 pub struct KeySet {
     // (relation name, sorted key attrs) → counts
-    keys: FxHashMap<(String, Vec<usize>), KeyCounts>,
+    keys: FxHashMap<(String, Vec<usize>), Arc<KeyCounts>>,
 }
 
 impl KeySet {
@@ -163,7 +167,8 @@ impl KeySet {
                 multiplicity,
             }));
         }
-        self.keys.insert((relation.to_owned(), sorted), counts);
+        self.keys
+            .insert((relation.to_owned(), sorted), Arc::new(counts));
         Ok(Ok(()))
     }
 
@@ -202,6 +207,7 @@ impl KeySet {
         }
         for ((r, _), counts) in self.keys.iter_mut() {
             if r == relation {
+                let counts = Arc::make_mut(counts);
                 let net = counts.net(delta);
                 for (key, n) in net {
                     let current = counts.counts.get(&key).copied().unwrap_or(0) as i64;
@@ -221,7 +227,7 @@ impl KeySet {
     /// durable, counts are not).
     pub fn rebuild(&mut self, db: &Database) -> CoreResult<()> {
         for ((relation, attrs), counts) in self.keys.iter_mut() {
-            *counts = KeyCounts::build(db.relation(relation)?, attrs)?;
+            *counts = Arc::new(KeyCounts::build(db.relation(relation)?, attrs)?);
         }
         Ok(())
     }

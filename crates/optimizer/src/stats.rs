@@ -16,6 +16,8 @@
 //! then the sketch over-estimates distincts and the bounds over-cover,
 //! which is the conservative direction for selectivity estimation.
 
+use std::sync::Arc;
+
 use mera_core::prelude::*;
 use mera_core::sketch::KmvSketch;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -208,10 +210,12 @@ impl ColumnStats {
 }
 
 /// Statistics for every relation in a database, stamped with the logical
-/// time they describe.
+/// time they describe. Per-table statistics are shared copy-on-write:
+/// cloning the catalog copies one `Arc` per table, and
+/// [`Self::apply_commit`] copies only the table it folds.
 #[derive(Debug, Clone, Default)]
 pub struct CatalogStats {
-    tables: FxHashMap<String, TableStats>,
+    tables: FxHashMap<String, Arc<TableStats>>,
     /// Logical time of the database state these statistics describe.
     as_of: Option<LogicalTime>,
 }
@@ -226,7 +230,10 @@ impl CatalogStats {
     pub fn from_database(db: &Database) -> CoreResult<CatalogStats> {
         let mut tables = FxHashMap::default();
         for name in db.relation_names() {
-            tables.insert(name.to_owned(), TableStats::analyze(db.relation(name)?));
+            tables.insert(
+                name.to_owned(),
+                Arc::new(TableStats::analyze(db.relation(name)?)),
+            );
         }
         Ok(CatalogStats {
             tables,
@@ -261,10 +268,10 @@ impl CatalogStats {
     /// one-time full scan.
     pub fn apply_commit(&mut self, name: &str, delta: &SignedBag<Tuple>, post: &Relation) {
         match self.tables.get_mut(name) {
-            Some(t) => t.apply_delta(delta, post),
+            Some(t) => Arc::make_mut(t).apply_delta(delta, post),
             None => {
                 self.tables
-                    .insert(name.to_owned(), TableStats::analyze(post));
+                    .insert(name.to_owned(), Arc::new(TableStats::analyze(post)));
             }
         }
     }
@@ -277,17 +284,17 @@ impl CatalogStats {
 
     /// Registers statistics for a named relation.
     pub fn insert(&mut self, name: impl Into<String>, stats: TableStats) {
-        self.tables.insert(name.into(), stats);
+        self.tables.insert(name.into(), Arc::new(stats));
     }
 
     /// Statistics for a relation, if known.
     pub fn get(&self, name: &str) -> Option<&TableStats> {
-        self.tables.get(name)
+        self.tables.get(name).map(AsRef::as_ref)
     }
 
     /// Iterates over every `(relation, stats)` pair.
     pub fn tables(&self) -> impl Iterator<Item = (&String, &TableStats)> {
-        self.tables.iter()
+        self.tables.iter().map(|(name, t)| (name, t.as_ref()))
     }
 
     /// Total delta tuples folded in across all relations (the O(delta)
@@ -349,12 +356,9 @@ mod tests {
             .with("r", Schema::anon(&[DataType::Int]))
             .expect("fresh");
         let mut db = Database::new(schema);
-        db.update_with("r", |r| {
-            let mut r = r.clone();
-            r.insert(tuple![7_i64], 4)?;
-            Ok(r)
-        })
-        .expect("update");
+        db.relation_mut("r")
+            .and_then(|r| r.insert(tuple![7_i64], 4))
+            .expect("update");
         let cs = CatalogStats::from_database(&db).expect("analyze");
         assert_eq!(cs.get("r").expect("present").rows, 4);
         assert!(cs.get("zzz").is_none());
@@ -441,12 +445,9 @@ mod tests {
             .with("r", Schema::anon(&[DataType::Int]))
             .expect("fresh");
         let mut db = Database::new(schema);
-        db.update_with("r", |r| {
-            let mut r = r.clone();
-            r.insert(tuple![1_i64], 1)?;
-            Ok(r)
-        })
-        .expect("update");
+        db.relation_mut("r")
+            .and_then(|r| r.insert(tuple![1_i64], 1))
+            .expect("update");
         let mut cs = CatalogStats::from_database(&db).expect("analyze");
         let scans = cs.full_scans();
         // same logical time: refresh is a no-op

@@ -128,21 +128,63 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one frame's payload. `Ok(None)` on clean EOF at a frame
-/// boundary; EOF mid-frame is an error.
+/// boundary; EOF mid-frame is an error. Bytes read before a timeout are
+/// lost; a reader with a read timeout uses [`FrameReader`] instead.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    FrameReader::default().read_frame(r)
+}
+
+/// A frame reader that resumes across read timeouts: a `WouldBlock` or
+/// `TimedOut` error keeps the length prefix and payload bytes read so
+/// far, and the next call continues the same frame. A slow client that
+/// pauses inside a frame is therefore served, not desynced.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    prefix: [u8; 4],
+    prefix_read: usize,
+    /// The payload buffer, allocated once the length prefix is complete.
+    payload: Option<Vec<u8>>,
+    payload_read: usize,
+}
+
+impl FrameReader {
+    /// Reads until one whole frame is buffered and returns its payload.
+    /// `Ok(None)` on clean EOF at a frame boundary; EOF mid-frame is an
+    /// error, and so is a length prefix above [`MAX_FRAME`].
+    pub fn read_frame(&mut self, r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+        while self.prefix_read < self.prefix.len() {
+            match r.read(&mut self.prefix[self.prefix_read..]) {
+                Ok(0) if self.prefix_read == 0 => return Ok(None),
+                Ok(0) => return Err(torn_frame()),
+                Ok(n) => self.prefix_read += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if self.payload.is_none() {
+            let len = u32::from_le_bytes(self.prefix) as usize;
+            if len > MAX_FRAME {
+                return Err(ProtocolError(format!("frame of {len} bytes exceeds cap")).into());
+            }
+            self.payload = Some(vec![0u8; len]);
+        }
+        let payload = self.payload.as_mut().expect("allocated above");
+        while self.payload_read < payload.len() {
+            match r.read(&mut payload[self.payload_read..]) {
+                Ok(0) => return Err(torn_frame()),
+                Ok(n) => self.payload_read += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let frame = std::mem::take(payload);
+        *self = FrameReader::default();
+        Ok(Some(frame))
     }
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(ProtocolError(format!("frame of {len} bytes exceeds cap")).into());
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+}
+
+fn torn_frame() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-frame")
 }
 
 /// A cursor over a received payload, decoding fixed-width fields and
@@ -371,6 +413,47 @@ mod tests {
         assert_eq!(read_frame(&mut r).expect("clean eof"), None);
     }
 
+    /// Yields its chunks one per `read`, failing with `TimedOut` between
+    /// them — a client that pauses inside frames.
+    struct Stutter(std::collections::VecDeque<Option<Vec<u8>>>);
+
+    impl Read for Stutter {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(io::ErrorKind::TimedOut.into()),
+                Some(Some(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(Some(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_reader_resumes_after_timeouts_anywhere_in_a_frame() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"hello").expect("writes");
+        write_frame(&mut wire, b"world!").expect("writes");
+        // a timeout after every byte: inside the prefix, at the
+        // prefix/payload boundary, inside the payload, between frames
+        let mut r = Stutter(wire.iter().flat_map(|&b| [Some(vec![b]), None]).collect());
+        let mut frames = FrameReader::default();
+        let mut got = Vec::new();
+        loop {
+            match frames.read_frame(&mut r) {
+                Ok(Some(p)) => got.push(p),
+                Ok(None) => break,
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::TimedOut),
+            }
+        }
+        assert_eq!(got, vec![b"hello".to_vec(), b"world!".to_vec()]);
+    }
+
     #[test]
     fn torn_frame_and_oversize_length_are_errors() {
         // length says 10 bytes, only 3 present
@@ -381,6 +464,9 @@ mod tests {
 
         let huge = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
         assert!(read_frame(&mut &huge[..]).is_err());
+
+        // EOF inside the length prefix is torn too, not a clean close
+        assert!(read_frame(&mut &[1u8, 0][..]).is_err());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use mera_core::prelude::Relation;
 use mera_lang::RunResult;
 use mera_store::{ConcurrentDb, Storage, StoreError};
 
-use crate::protocol::{read_frame, write_frame, Request, Response, Row, BATCH_ROWS};
+use crate::protocol::{write_frame, FrameReader, Request, Response, Row, BATCH_ROWS};
 
 /// How often the acceptor and idle workers re-check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(5);
@@ -191,12 +191,15 @@ fn serve_connection<S: Storage>(
     stop: &AtomicBool,
 ) -> io::Result<()> {
     // Bounded read patience so an idle keep-alive connection re-checks
-    // the stop flag instead of pinning its worker forever.
+    // the stop flag instead of pinning its worker forever. The frame
+    // reader keeps a partly read frame across these timeouts, so a
+    // client that pauses mid-frame stays in sync.
     conn.set_read_timeout(Some(Duration::from_millis(200)))?;
     let mut reader = BufReader::new(conn.try_clone()?);
     let mut writer = BufWriter::new(conn);
+    let mut frames = FrameReader::default();
     loop {
-        let payload = match read_frame(&mut reader) {
+        let payload = match frames.read_frame(&mut reader) {
             Ok(Some(p)) => p,
             Ok(None) => return Ok(()), // client closed cleanly
             Err(e)

@@ -4,9 +4,11 @@
 
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use mera_core::prelude::*;
-use mera_server::{serve, Client, ClientError, ServerHandle, ServerOptions};
+use mera_server::protocol::{read_frame, write_frame};
+use mera_server::{serve, Client, ClientError, Request, Response, ServerHandle, ServerOptions};
 use mera_store::{ConcurrentDb, FsyncPolicy, MemStorage, StoreOptions};
 
 fn start(storage: MemStorage, fsync: FsyncPolicy) -> (Arc<ConcurrentDb<MemStorage>>, ServerHandle) {
@@ -256,5 +258,72 @@ fn large_results_stream_in_multiple_batches() {
     let reply = client.sql("SELECT * FROM big").expect("query");
     assert_eq!(reply.results.len(), 1);
     assert_eq!(reply.results[0].len(), 1300);
+    server.shutdown();
+}
+
+/// Sends one request frame in two writes with `pause` between them,
+/// split `at` bytes into the frame (the 4-byte length prefix included).
+fn send_split(conn: &mut std::net::TcpStream, request: &Request, at: usize, pause: Duration) {
+    use std::io::Write;
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &request.encode()).expect("frames");
+    conn.write_all(&frame[..at]).expect("first part");
+    conn.flush().expect("flush");
+    thread::sleep(pause);
+    conn.write_all(&frame[at..]).expect("second part");
+    conn.flush().expect("flush");
+}
+
+fn receive(conn: &mut std::net::TcpStream) -> Response {
+    let payload = read_frame(conn).expect("reads").expect("a frame");
+    Response::decode(&payload).expect("decodes")
+}
+
+/// A client that pauses inside a frame for longer than the server's
+/// read timeout is served, not desynced: once after the length prefix,
+/// once in the middle of the payload. The session stays usable.
+#[test]
+fn slow_clients_pausing_mid_frame_keep_their_session() {
+    let (db, server) = start(MemStorage::new(), FsyncPolicy::Never);
+    let mut conn = std::net::TcpStream::connect(server.local_addr()).expect("connects");
+    // a desynced server never answers: fail instead of hanging
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let pause = Duration::from_millis(400);
+
+    send_split(&mut conn, &Request::Ping, 4, pause);
+    assert_eq!(receive(&mut conn), Response::Pong);
+
+    let ddl = Request::Sql("CREATE TABLE slow (a INT)".into());
+    send_split(&mut conn, &ddl, 4 + 10, pause);
+    assert_eq!(
+        receive(&mut conn),
+        Response::Done {
+            committed: 1,
+            aborted: 0
+        }
+    );
+
+    // later whole frames on the same session still parse
+    send_split(
+        &mut conn,
+        &Request::Sql("INSERT INTO slow VALUES (7)".into()),
+        0,
+        Duration::ZERO,
+    );
+    assert!(matches!(
+        receive(&mut conn),
+        Response::Done { committed: 1, .. }
+    ));
+    send_split(&mut conn, &Request::Ping, 0, Duration::ZERO);
+    assert_eq!(receive(&mut conn), Response::Pong);
+    assert_eq!(
+        db.run_sql("SELECT * FROM slow")
+            .expect("query")
+            .expect("a result")
+            .len(),
+        1
+    );
+    drop(conn);
     server.shutdown();
 }

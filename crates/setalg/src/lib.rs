@@ -338,12 +338,9 @@ mod tests {
             .with("r", Schema::anon(&[DataType::Int]))
             .expect("fresh");
         let mut db = Database::new(schema);
-        db.update_with("r", |r| {
-            let mut r = r.clone();
-            r.insert(tuple![1_i64], 5)?;
-            Ok(r)
-        })
-        .expect("update");
+        db.relation_mut("r")
+            .and_then(|r| r.insert(tuple![1_i64], 5))
+            .expect("update");
         let out = eval_set(&RelExpr::scan("r"), &db).expect("evaluates");
         assert_eq!(out.len(), 1);
     }

@@ -679,13 +679,7 @@ mod tests {
         db.sync().expect("flushes");
         let version = db.pin();
         let expected_db = version.database().clone();
-        let expected_view = version
-            .views()
-            .get("totals")
-            .expect("view")
-            .data()
-            .as_ref()
-            .clone();
+        let expected_view = version.views().get("totals").expect("view").data().clone();
         drop(version);
         drop(db);
 
@@ -693,7 +687,7 @@ mod tests {
         let v = recovered.pin();
         assert_eq!(v.database(), &expected_db);
         assert_eq!(
-            v.views().get("totals").expect("view").data().as_ref(),
+            v.views().get("totals").expect("view").data(),
             &expected_view
         );
         assert_eq!(

@@ -540,7 +540,7 @@ impl<S: Storage> DurableDb<S> {
     pub fn view(&self, name: &str) -> CoreResult<Relation> {
         self.views
             .get(name)
-            .map(|v| v.data().as_ref().clone())
+            .map(|v| v.data().clone())
             .ok_or_else(|| CoreError::UnknownRelation(name.to_owned()))
     }
 

@@ -149,13 +149,9 @@ mod tests {
             .with("flags", Schema::anon(&[DataType::Bool]))
             .unwrap();
         let mut db = Database::new(schema);
-        db.update_with("accounts", |rel| {
-            let mut next = rel.clone();
-            next.insert(tuple!["ann", 10_i64], 2)?;
-            next.insert(tuple!["bob", -3_i64], 1)?;
-            Ok(next)
-        })
-        .unwrap();
+        let accounts = db.relation_mut("accounts").unwrap();
+        accounts.insert(tuple!["ann", 10_i64], 2).unwrap();
+        accounts.insert(tuple!["bob", -3_i64], 1).unwrap();
         db.tick();
         db.tick();
         db

@@ -88,7 +88,7 @@ type ViewImage = BTreeMap<String, Relation>;
 fn view_image(views: &ViewSet) -> ViewImage {
     views
         .iter()
-        .map(|v| (v.name().to_owned(), v.data().as_ref().clone()))
+        .map(|v| (v.name().to_owned(), v.data().clone()))
         .collect()
 }
 

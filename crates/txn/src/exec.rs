@@ -69,7 +69,7 @@ pub struct WorkingState {
     pub temps: BTreeMap<String, Relation>,
     /// Pre-transaction snapshots of materialized views, readable by
     /// queries exactly like base relations (but never writable).
-    pub views: BTreeMap<String, Arc<Relation>>,
+    pub views: BTreeMap<String, Relation>,
     /// Signed per-relation deltas of *every* DML statement executed so
     /// far — the single input that drives view maintenance, statistics
     /// maintenance and index maintenance at commit time.
@@ -205,22 +205,20 @@ pub fn execute_statement(
 ) -> CoreResult<()> {
     match stmt {
         Statement::Insert { relation, expr } => {
+            // R ← R ⊎ E, in place: O(|E|), all-or-nothing on overflow
             let value = eval_expr(state, expr, config)?;
-            let current = state.db.relation(relation)?;
-            let next = current.union(&value)?;
-            state.capture(relation, &value, true)?;
-            state.db.replace(relation, next)
+            state.db.relation_mut(relation)?.union_in_place(&value)?;
+            state.capture(relation, &value, true)
         }
         Statement::Delete { relation, expr } => {
+            // R ← R − E, in place. What `−` actually removes is
+            // min(R(t), E(t)) per tuple (Definition 3.2), i.e. R ∩ E —
+            // capture that, not the requested amount
             let value = eval_expr(state, expr, config)?;
-            let current = state.db.relation(relation)?;
-            // what `−` actually removes is min(current, value) per tuple
-            // (Definition 3.2), i.e. the bag intersection — capture that,
-            // not the requested amount
-            let removed = current.intersection(&value)?;
-            let next = current.difference(&value)?;
-            state.capture(relation, &removed, false)?;
-            state.db.replace(relation, next)
+            let target = state.db.relation_mut(relation)?;
+            let removed = target.intersection(&value)?;
+            target.difference_in_place(&removed)?;
+            state.capture(relation, &removed, false)
         }
         Statement::Update {
             relation,
@@ -228,7 +226,7 @@ pub fn execute_statement(
             exprs,
         } => {
             let value = eval_expr(state, expr, config)?;
-            let current = state.db.relation(relation)?.clone();
+            let current = state.db.relation(relation)?;
             // schema-preservation check on the expression list (the
             // definition's note: π̄ₐ "results a multi-set of the same
             // schema as its operand")
@@ -246,16 +244,18 @@ pub fn execute_statement(
                     found: updated_schema.to_string(),
                 });
             }
-            // R ← (R − E) ⊎ π̄ₐ(R ∩ E)
+            // R ← (R − E) ⊎ π̄ₐ(R ∩ E), in place. R − E = R − (R ∩ E),
+            // and the rewrite (which may fail) runs before R changes.
             let touched = current.intersection(&value)?;
-            let kept = current.difference(&value)?;
             let rewritten = touched.map_tuples(target_schema, |t| {
                 let vals: CoreResult<Vec<Value>> = exprs.iter().map(|e| e.eval(t)).collect();
                 Ok(Tuple::new(vals?))
             })?;
+            let target = state.db.relation_mut(relation)?;
+            target.difference_in_place(&touched)?;
+            target.union_in_place(&rewritten)?;
             state.capture(relation, &touched, false)?;
-            state.capture(relation, &rewritten, true)?;
-            state.db.replace(relation, kept.union(&rewritten)?)
+            state.capture(relation, &rewritten, true)
         }
         Statement::Assign { name, expr } => {
             if state.db.schema().contains(name) || state.views.contains_key(name) {

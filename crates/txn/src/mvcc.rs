@@ -120,6 +120,10 @@ impl Version {
         schema
     }
 
+    /// The transaction's starting state `D_t.0`. Every relation and
+    /// catalog object is shared with this version; a statement copies a
+    /// relation's bag on its first write to it, so a transaction costs
+    /// what it touches, not the size of the database.
     fn working_state(&self) -> WorkingState {
         WorkingState::with_catalog(
             self.db.clone(),
@@ -573,7 +577,9 @@ impl MvccManager {
         next_db.tick();
         let time = next_db.time();
         // catalog maintenance: the same O(|Δ|) folds as the serial path,
-        // but into *clones* — published versions are never mutated
+        // but into *clones* — published versions are never mutated. Every
+        // catalog object is shared per relation (per table, key, index and
+        // view), so a clone copies only what the deltas touch
         let mut stats = Arc::clone(&latest.stats);
         {
             let s = Arc::make_mut(&mut stats);
@@ -951,20 +957,18 @@ impl MvccManager {
 /// — which first-committer-wins validation rules out for admitted
 /// commits.
 fn apply_delta(db: &mut Database, name: &str, delta: &TupleDelta) -> CoreResult<()> {
-    db.update_with(name, |rel| {
-        let mut next = rel.clone();
-        for (t, m) in delta.iter() {
-            if m > 0 {
-                next.insert(t.clone(), m as u64)?;
-            } else {
-                let want = m.unsigned_abs();
-                if next.remove(t, want) != want {
-                    return Err(CoreError::NegativeMultiplicity("mvcc delta merge"));
-                }
+    let rel = db.relation_mut(name)?;
+    for (t, m) in delta.iter() {
+        if m > 0 {
+            rel.insert(t.clone(), m as u64)?;
+        } else {
+            let want = m.unsigned_abs();
+            if rel.remove(t, want) != want {
+                return Err(CoreError::NegativeMultiplicity("mvcc delta merge"));
             }
         }
-        Ok(next)
-    })
+    }
+    Ok(())
 }
 
 #[cfg(test)]

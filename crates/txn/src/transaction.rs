@@ -669,12 +669,12 @@ impl TransactionManager {
         inner
             .views
             .get(name)
-            .map(|v| v.data().as_ref().clone())
+            .map(|v| v.data().clone())
             .ok_or_else(|| CoreError::UnknownRelation(name.to_owned()))
     }
 
     /// Snapshots of every materialized view, by name.
-    pub fn view_snapshots(&self) -> std::collections::BTreeMap<String, std::sync::Arc<Relation>> {
+    pub fn view_snapshots(&self) -> std::collections::BTreeMap<String, Relation> {
         self.inner.lock().views.snapshots()
     }
 

@@ -90,7 +90,7 @@ pub struct View {
     schema: SchemaRef,
     deps: Vec<String>,
     plan: MaintNode,
-    data: Arc<Relation>,
+    data: Relation,
     refreshes: u64,
     fallbacks: u64,
 }
@@ -117,7 +117,7 @@ impl View {
     }
 
     /// The current materialized contents.
-    pub fn data(&self) -> &Arc<Relation> {
+    pub fn data(&self) -> &Relation {
         &self.data
     }
 
@@ -131,9 +131,13 @@ impl View {
 /// The materialized views of one database, in creation order (which is a
 /// topological order of the dependency graph: a view may only reference
 /// names that already exist).
+///
+/// Views are shared copy-on-write: cloning the set clones one `Arc` per
+/// view, and a commit copies (definition, plan state and contents) only
+/// the views its deltas refresh.
 #[derive(Debug, Clone, Default)]
 pub struct ViewSet {
-    views: Vec<View>,
+    views: Vec<Arc<View>>,
 }
 
 impl ViewSet {
@@ -154,12 +158,12 @@ impl ViewSet {
 
     /// The views in creation order.
     pub fn iter(&self) -> impl Iterator<Item = &View> {
-        self.views.iter()
+        self.views.iter().map(AsRef::as_ref)
     }
 
     /// Looks a view up by name.
     pub fn get(&self, name: &str) -> Option<&View> {
-        self.views.iter().find(|v| v.name == name)
+        self.iter().find(|v| v.name == name)
     }
 
     /// True when a view with this name exists.
@@ -167,11 +171,12 @@ impl ViewSet {
         self.get(name).is_some()
     }
 
-    /// Cheap per-transaction snapshots of every view's contents.
-    pub fn snapshots(&self) -> BTreeMap<String, Arc<Relation>> {
+    /// Per-transaction snapshots of every view's contents (each an `Arc`
+    /// clone of the view's bag).
+    pub fn snapshots(&self) -> BTreeMap<String, Relation> {
         self.views
             .iter()
-            .map(|v| (v.name.clone(), Arc::clone(&v.data)))
+            .map(|v| (v.name.clone(), v.data.clone()))
             .collect()
     }
 
@@ -213,16 +218,16 @@ impl ViewSet {
             .expect("an accepted view definition has a schema");
         let plan = MaintNode::build(&expr, &provider, config)?;
         let data = eval(&expr, &provider, config)?;
-        self.views.push(View {
+        self.views.push(Arc::new(View {
             name: name.to_owned(),
             expr,
             schema: Arc::clone(&schema),
             deps: analysis.deps,
             plan,
-            data: Arc::new(data),
+            data,
             refreshes: 0,
             fallbacks: 0,
-        });
+        }));
         Ok(schema)
     }
 
@@ -241,14 +246,14 @@ impl ViewSet {
     ) -> CoreResult<()> {
         for i in 0..self.views.len() {
             let (done, rest) = self.views.split_at_mut(i);
-            let view = &mut rest[0];
-            let touched = view
+            let touched = rest[0]
                 .deps
                 .iter()
                 .any(|d| deltas.get(d).is_some_and(|x| !x.is_empty()));
             if !touched {
                 continue;
             }
+            let view = Arc::make_mut(&mut rest[0]);
             let provider = ViewCatalog { views: done, db };
             view.refreshes += 1;
             let delta = match view.plan.refresh(&deltas, &provider, config) {
@@ -277,7 +282,7 @@ impl ViewSet {
         let fresh = eval(&view.expr, provider, config)?;
         let delta = SignedBag::from_diff(view.data.bag(), fresh.bag())?;
         view.plan = MaintNode::build(&view.expr, provider, config)?;
-        view.data = Arc::new(fresh);
+        view.data = fresh;
         Ok(delta)
     }
 
@@ -288,10 +293,10 @@ impl ViewSet {
     pub fn rebuild(&mut self, db: &Database, config: ExecConfig) -> CoreResult<()> {
         for i in 0..self.views.len() {
             let (done, rest) = self.views.split_at_mut(i);
-            let view = &mut rest[0];
+            let view = Arc::make_mut(&mut rest[0]);
             let provider = ViewCatalog { views: done, db };
             view.plan = MaintNode::build(&view.expr, &provider, config)?;
-            view.data = Arc::new(eval(&view.expr, &provider, config)?);
+            view.data = eval(&view.expr, &provider, config)?;
         }
         Ok(())
     }
@@ -300,8 +305,7 @@ impl ViewSet {
 /// Applies a signed view delta to the materialized contents in place.
 /// Fails (without corrupting the data beyond repair — the caller falls
 /// back to recompute) when a retraction exceeds the stored multiplicity.
-fn apply_delta(data: &mut Arc<Relation>, delta: &TupleDelta) -> CoreResult<()> {
-    let rel = Arc::make_mut(data);
+fn apply_delta(rel: &mut Relation, delta: &TupleDelta) -> CoreResult<()> {
     for (t, m) in delta.iter() {
         if m > 0 {
             rel.insert(t.clone(), m as u64)?;
@@ -318,7 +322,7 @@ fn apply_delta(data: &mut Arc<Relation>, delta: &TupleDelta) -> CoreResult<()> {
 /// Resolves already-refreshed views first, then the database — the
 /// catalog every view's definition is evaluated against.
 struct ViewCatalog<'a> {
-    views: &'a [View],
+    views: &'a [Arc<View>],
     db: &'a Database,
 }
 
@@ -902,7 +906,7 @@ mod tests {
             // recompute through the manager-independent engine
             let snaps = mgr.view_snapshots();
             let v = snaps.get(name).expect("view exists");
-            assert_eq!(&view, v.as_ref());
+            assert_eq!(&view, v);
             drop(snaps);
             mgr_view_expr(mgr, name)
         };
