@@ -1,7 +1,10 @@
-//! Durability report: commit throughput under the three WAL fsync
-//! policies, and recovery cost — full-log replay versus snapshot restore
-//! — on real files. Writes the results as JSON (hand-rendered — the
-//! vendored serde crates are empty shells).
+//! Durability report: single-committer commit throughput through
+//! `ConcurrentDb` on real files under the three WAL fsync policies, and
+//! recovery cost — full-log replay versus snapshot restore. Every policy but
+//! `never` acknowledges a commit only once it is durable, so with one
+//! committer `every_8` pays one fsync per commit, like `always`. Writes the
+//! results as JSON (hand-rendered — the vendored serde crates are empty
+//! shells).
 //!
 //! Usage: `cargo run --release -p mera-bench --bin durability
 //! [output.json]` — the default output path is `BENCH_pr5.json`.
@@ -13,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use mera_core::prelude::*;
 use mera_expr::RelExpr;
-use mera_store::{DirStorage, DurableDb, FsyncPolicy, MemStorage, StoreOptions, WAL_FILE};
+use mera_store::{ConcurrentDb, DirStorage, FsyncPolicy, MemStorage, StoreOptions, WAL_FILE};
 use mera_txn::{Program, Statement};
 
 fn schema() -> DatabaseSchema {
@@ -39,6 +42,16 @@ fn insert_txn(rel_schema: &SchemaRef, i: i64) -> Program {
         "accounts",
         RelExpr::Values(Arc::new(rel)),
     ))
+}
+
+fn accounts_schema<S: mera_store::Storage>(db: &ConcurrentDb<S>) -> SchemaRef {
+    Arc::clone(
+        db.pin()
+            .database()
+            .relation("accounts")
+            .expect("declared")
+            .schema(),
+    )
 }
 
 struct TempDir(PathBuf);
@@ -79,13 +92,8 @@ fn throughput(policy: FsyncPolicy, label: &'static str, commits: usize) -> Throu
         fsync: policy,
         ..StoreOptions::default()
     };
-    let mut db = DurableDb::open(storage, schema(), options).expect("open");
-    let rel_schema = Arc::clone(
-        db.database()
-            .relation("accounts")
-            .expect("declared")
-            .schema(),
-    );
+    let db = ConcurrentDb::open(storage, schema(), options).expect("open");
+    let rel_schema = accounts_schema(&db);
 
     let start = Instant::now();
     for i in 0..commits {
@@ -114,13 +122,8 @@ struct RecoveryPoint {
 /// (a) the raw WAL and (b) a checkpoint snapshot of the same state.
 fn recovery(history: usize) -> (RecoveryPoint, RecoveryPoint) {
     let storage = MemStorage::new();
-    let mut db = DurableDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open");
-    let rel_schema = Arc::clone(
-        db.database()
-            .relation("accounts")
-            .expect("declared")
-            .schema(),
-    );
+    let db = ConcurrentDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open");
+    let rel_schema = accounts_schema(&db);
     for i in 0..history {
         let p = insert_txn(&rel_schema, i as i64);
         db.execute(&p).expect("commits");
@@ -128,28 +131,28 @@ fn recovery(history: usize) -> (RecoveryPoint, RecoveryPoint) {
     let replay_image = storage.image();
     db.checkpoint().expect("checkpoint");
     let snapshot_image = storage.image();
-    let expected = db.database().clone();
+    let expected = db.pin().database().clone();
     drop(db);
 
     let start = Instant::now();
-    let replayed = DurableDb::open(
+    let replayed = ConcurrentDb::open(
         MemStorage::from_image(replay_image),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
     .expect("replay recovery");
     let replay_time = start.elapsed();
-    assert_eq!(replayed.database(), &expected);
+    assert_eq!(replayed.pin().database(), &expected);
 
     let start = Instant::now();
-    let restored = DurableDb::open(
+    let restored = ConcurrentDb::open(
         MemStorage::from_image(snapshot_image),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
     .expect("snapshot recovery");
     let restore_time = start.elapsed();
-    assert_eq!(restored.database(), &expected);
+    assert_eq!(restored.pin().database(), &expected);
 
     (
         RecoveryPoint {
@@ -171,8 +174,9 @@ fn render_json(points: &[ThroughputPoint], recoveries: &[RecoveryPoint]) -> Stri
     let _ = writeln!(j, "  \"bench\": \"durability\",");
     let _ = writeln!(
         j,
-        "  \"note\": \"commit = one single-row insert transaction on real files \
-         (std temp dir); recovery timings use the deterministic in-memory backend; \
+        "  \"note\": \"commit = one single-row insert transaction through ConcurrentDb \
+         on real files (std temp dir), one committer, so every_8 acks after its own fsync \
+         like always; recovery timings use the deterministic in-memory backend; \
          regenerate with `cargo run --release -p mera-bench --bin durability`\","
     );
     j.push_str("  \"commit_throughput\": [\n");

@@ -6,9 +6,11 @@
 //! ```
 //!
 //! Without `--data` the server runs on in-memory storage (state lost at
-//! exit) — useful for demos and benchmarks. `--fsync N` enables group
-//! commit: WAL appends from concurrent sessions are batched into one
-//! fsync per up-to-N commits.
+//! exit) — useful for demos and benchmarks. `--fsync N` selects group
+//! commit: a commit is acknowledged only after it is durable, and one
+//! fsync covers every commit from concurrent sessions that queued behind
+//! the previous one. `N` is accepted but not read; the group size adapts
+//! to concurrency.
 
 use std::process::ExitCode;
 use std::sync::Arc;

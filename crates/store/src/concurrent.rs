@@ -1,19 +1,24 @@
-//! [`ConcurrentDb`]: the MVCC transaction engine wired to a shared WAL
-//! with cross-client group commit.
+//! [`ConcurrentDb`]: the durable database — the MVCC transaction engine
+//! wired to a shared write-ahead log with cross-client group commit.
 //!
-//! Where [`DurableDb`](crate::DurableDb) is `&mut self` throughout — one
-//! writer, log-then-publish — this front is `&self` everywhere: any
-//! number of threads (one per client connection, in `mera-server`)
-//! execute transactions concurrently against the [`MvccManager`]'s
-//! version chain, and the WAL becomes a shared resource coordinated by a
-//! small group-commit protocol:
+//! The paper's §4 database is a sequence of states `D_0 → D_1 → …`, one
+//! transition per committed transaction; this front makes that sequence
+//! survive process death. Every method takes `&self`: any number of
+//! threads (one per client connection, in `mera-server`) execute
+//! transactions concurrently against the [`MvccManager`]'s version chain,
+//! and the WAL is a shared resource coordinated by a small group-commit
+//! protocol:
 //!
-//! * **Commit order = log order.** Each committed transaction's redo
-//!   frame is produced inside the MVCC commit section (the `durability`
-//!   hook of [`MvccManager::try_commit`] runs under the commit lock,
-//!   after validation, before publication), so frames are generated in
-//!   strictly increasing logical-time order and the serial recovery code
-//!   replays interleaved histories unchanged.
+//! * **Log, then publish, in commit order.** Each committed transaction's
+//!   redo frame is produced inside the MVCC commit section (the
+//!   `durability` hook of [`MvccManager::try_commit`] runs under the
+//!   commit lock, after validation, before publication), so frames are
+//!   generated in strictly increasing logical-time order and recovery
+//!   replays interleaved histories single-threaded. DDL follows the same
+//!   order: validate, log and fsync, then publish.
+//! * **Aborts and reads write nothing.** An aborted or read-only
+//!   transaction publishes no version: it neither ticks logical time nor
+//!   touches the WAL, so the log holds exactly the state transitions.
 //! * **[`FsyncPolicy::Always`]** appends and fsyncs the frame right in
 //!   the hook — one fsync per commit, fully serialized. This is the
 //!   latency-honest baseline.
@@ -27,38 +32,84 @@
 //!   arrive while a flush is in flight pile up behind it and ride the
 //!   next batch, so group size adapts to concurrency — a lone committer
 //!   pays exactly one fsync (no worse than `Always`), while under load
-//!   one fsync amortizes across many commits. The `n` is a WAL-batching
-//!   hint honored by the serial front; here every ack is durable and
-//!   `n` does not gate the flush. Unlike the serial `EveryN` (which
-//!   acked before syncing), no transaction is acknowledged until its
-//!   frame is durable.
+//!   one fsync amortizes across many commits. The `n` is not read; no
+//!   transaction is acknowledged until its frame is durable.
 //! * **[`FsyncPolicy::Never`]** appends in the hook without syncing —
-//!   the OS flushes when it pleases, exactly like the serial front.
+//!   the OS flushes when it pleases.
+//! * **Recovery** ([`ConcurrentDb::open`]) loads the checkpoint snapshot,
+//!   truncates the WAL's torn tail and replays the rest; the result seeds
+//!   version 0 of the chain. **Checkpoints** run under quiescence, so the
+//!   snapshot and the reset WAL describe exactly one version.
 //!
 //! A storage failure while flushing staged frames is fail-stop: versions
 //! for those frames are already published to readers, so the front
 //! *poisons* — every later commit and flush fails with the original
 //! error — rather than let the in-memory history silently diverge from
 //! the durable one. (A failure on the `Always` path aborts just that
-//! commit before publication, like the serial front.)
+//! commit before publication.)
 
 use std::sync::Arc;
 
-use crate::durable::{DurableDb, DurableParts, FsyncPolicy, StoreOptions, SNAPSHOT_FILE, WAL_FILE};
 use crate::error::{StoreError, StoreResult};
-use crate::snapshot;
+use crate::recovery::{self, view_error, Recovered};
+use crate::snapshot::{self, SNAPSHOT_FILE};
 use crate::storage::Storage;
-use crate::wal::{self, WalRecord};
+use crate::wal::{self, WalRecord, WAL_FILE};
 use mera_core::prelude::*;
 use mera_expr::RelExpr;
 use mera_lang::{lower_script, parse_script, program_to_xra, rel_to_xra, RunResult};
 use mera_txn::mvcc::{MvccManager, Version};
-use mera_txn::{AbortReason, ConstraintSet, DeclareKeyError, Outcome, Outputs, Program};
+use mera_txn::{
+    AbortReason, ConstraintSet, DeclareKeyError, ExecConfig, Outcome, Outputs, Program,
+};
 use parking_lot::{Condvar, Mutex};
+
+/// When the WAL file is flushed to stable storage.
+///
+/// The policy trades commit latency against the window of acknowledged
+/// transactions a crash can lose. It only affects real-file backends; the
+/// in-memory fault-injecting backend treats every written byte as durable
+/// so crash tests stay deterministic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FsyncPolicy {
+    /// Append and fsync every commit record inside the commit section.
+    /// No acknowledged commit is ever lost; one fsync per commit.
+    Always,
+    /// Group commit with acknowledgement after durability: a commit is
+    /// acknowledged only once its record is fsynced, and one fsync covers
+    /// every commit staged while the previous flush ran. No acknowledged
+    /// commit is ever lost. The group size adapts to concurrency; `n` is
+    /// not read.
+    EveryN(u32),
+    /// Never fsync the WAL from the commit path (the OS flushes when it
+    /// pleases). Fastest; a crash may lose any commit since the last
+    /// checkpoint.
+    Never,
+}
+
+/// Configuration for a [`ConcurrentDb`].
+#[derive(Debug, Clone)]
+pub struct StoreOptions {
+    /// WAL flush policy.
+    pub fsync: FsyncPolicy,
+    /// Execution configuration for the live transaction path. Replay
+    /// always runs with `analyze` off regardless of this setting.
+    pub exec: ExecConfig,
+}
+
+impl Default for StoreOptions {
+    fn default() -> Self {
+        StoreOptions {
+            fsync: FsyncPolicy::Always,
+            exec: ExecConfig::default(),
+        }
+    }
+}
 
 /// Group-commit bookkeeping: frames staged but not yet written, and the
 /// durable horizon acks wait on. Tickets are per-frame sequence numbers
 /// issued in commit order.
+#[derive(Default)]
 struct Group {
     /// Encoded frames staged in commit order, awaiting the next leader.
     staged: Vec<u8>,
@@ -73,10 +124,9 @@ struct Group {
     poisoned: Option<StoreError>,
 }
 
-/// A concurrent durable database: MVCC snapshots over the version chain,
-/// shared-WAL group commit underneath. All methods take `&self`; the
-/// intended use is one `Arc<ConcurrentDb>` shared by every client
-/// session.
+/// A durable database: MVCC snapshots over the version chain, shared-WAL
+/// group commit underneath. All methods take `&self`; the intended use is
+/// one `Arc<ConcurrentDb>` shared by every client session.
 pub struct ConcurrentDb<S: Storage> {
     mvcc: MvccManager,
     storage: Mutex<S>,
@@ -95,35 +145,27 @@ impl<S: Storage> std::fmt::Debug for ConcurrentDb<S> {
 }
 
 impl<S: Storage> ConcurrentDb<S> {
-    /// Opens (or recovers) a concurrent durable database.
+    /// Opens (or creates) a durable database in `storage`.
     ///
-    /// Recovery is exactly the serial path — [`DurableDb::open`] replays
-    /// the WAL single-threaded (interleaved histories were logged in
-    /// commit order, so nothing about replay changes) — and the result
+    /// With no prior files this initializes a fresh database over
+    /// `initial_schema` and logs one `Declare` record per relation. With
+    /// prior files it runs recovery — snapshot restore, torn-tail
+    /// truncation, then single-threaded replay of the WAL (interleaved
+    /// histories were logged in commit order) — and `initial_schema` is
+    /// ignored: the files are the source of truth. Either way the result
     /// seeds version 0 of the MVCC chain.
     pub fn open(
-        storage: S,
+        mut storage: S,
         initial_schema: DatabaseSchema,
         options: StoreOptions,
     ) -> StoreResult<Self> {
-        Ok(Self::from_durable(DurableDb::open(
-            storage,
-            initial_schema,
-            options,
-        )?))
-    }
-
-    /// Wraps an already-opened serial database.
-    pub fn from_durable(db: DurableDb<S>) -> Self {
-        let DurableParts {
-            storage,
+        let Recovered {
             db,
             views,
             stats,
             indexes,
             keys,
-            options,
-        } = db.into_parts();
+        } = recovery::recover(&mut storage, initial_schema, options.exec)?;
         let mvcc = MvccManager::from_parts(
             db,
             views,
@@ -133,19 +175,13 @@ impl<S: Storage> ConcurrentDb<S> {
             options.exec,
             ConstraintSet::new(),
         );
-        ConcurrentDb {
+        Ok(ConcurrentDb {
             mvcc,
             storage: Mutex::new(storage),
-            group: Mutex::new(Group {
-                staged: Vec::new(),
-                appended: 0,
-                durable: 0,
-                flushing: false,
-                poisoned: None,
-            }),
+            group: Mutex::new(Group::default()),
             group_cv: Condvar::new(),
             options,
-        }
+        })
     }
 
     /// The MVCC manager — for direct `prepare`/`try_commit` use and for
@@ -162,14 +198,6 @@ impl<S: Storage> ConcurrentDb<S> {
     /// The store options this database was opened with.
     pub fn options(&self) -> &StoreOptions {
         &self.options
-    }
-
-    /// Runs a read-only program against a pinned version without
-    /// touching the commit path or the WAL.
-    pub fn read(&self, version: &Arc<Version>, program: &Program) -> StoreResult<Outputs> {
-        self.mvcc
-            .read(version, program)
-            .map_err(|r| StoreError::TransactionAborted(r.to_string()))
     }
 
     /// Runs one transaction to its typed outcome: committed outputs, or
@@ -382,7 +410,7 @@ impl<S: Storage> ConcurrentDb<S> {
         };
         self.mvcc
             .create_view_with(name, expr, || self.drain_and_append(Some(&record)))?
-            .map_err(|e| StoreError::Core(CoreError::TypeError(e.to_string())))
+            .map_err(view_error)
     }
 
     /// Creates a secondary index, durably.
@@ -442,10 +470,12 @@ impl<S: Storage> ConcurrentDb<S> {
         })
     }
 
-    /// Runs a whole XRA script durably (declarations, views, keys, then
-    /// each transaction in order). The concurrent analogue of
-    /// [`crate::DurableSession::run_script`]; aborts are reported in the
-    /// results, storage failures abort the script.
+    /// Runs a whole XRA script durably: declarations, views and keys are
+    /// logged and published in order, then each transaction commits
+    /// through the WAL. Returns one [`RunResult`] per transaction — a
+    /// failing transaction aborts itself, not the script. Storage
+    /// failures *do* abort the script: whatever committed before the
+    /// failure is durable, the rest never ran.
     pub fn run_script(&self, src: &str) -> StoreResult<Vec<RunResult>> {
         let script = parse_script(src).map_err(StoreError::from)?;
         let lowered =
@@ -469,9 +499,10 @@ impl<S: Storage> ConcurrentDb<S> {
         Ok(results)
     }
 
-    /// Parses, translates and durably runs one SQL statement — the
-    /// concurrent analogue of [`crate::run_sql`]. Returns the result
-    /// relation for queries, `None` otherwise.
+    /// Parses, translates and durably runs one SQL statement. Returns the
+    /// result relation for queries, `None` for DML and DDL. A committed
+    /// statement is in the WAL (durable per the fsync policy) before this
+    /// returns.
     pub fn run_sql(&self, sql: &str) -> StoreResult<Option<Relation>> {
         let stmt = mera_sql::parse_sql(sql).map_err(StoreError::from)?;
         let catalog = self.pin().catalog_schema();
@@ -550,7 +581,7 @@ mod tests {
     }
 
     #[test]
-    fn commits_recover_through_the_serial_path() {
+    fn commits_recover_on_reopen() {
         let storage = MemStorage::new();
         let db = open(storage.clone(), FsyncPolicy::Always);
         db.execute(&insert_program(&db, "ann", 10))
@@ -738,5 +769,270 @@ mod tests {
             .expect("script");
         assert!(matches!(results[0], RunResult::Committed(_)));
         assert_eq!(db.pin().database().relation("accounts").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn duplicate_view_name_keeps_its_typed_error() {
+        let storage = MemStorage::new();
+        let db = open(storage.clone(), FsyncPolicy::Always);
+        let before_units = storage.units_written();
+        let err = db
+            .create_view("accounts", RelExpr::scan("accounts"))
+            .expect_err("the name belongs to a base relation");
+        assert!(
+            matches!(err, StoreError::Core(CoreError::DuplicateRelation(_))),
+            "{err:?}"
+        );
+        assert_eq!(storage.units_written(), before_units);
+        assert!(db.pin().views().is_empty());
+    }
+
+    fn open_empty(storage: MemStorage) -> ConcurrentDb<MemStorage> {
+        ConcurrentDb::open(storage, DatabaseSchema::new(), StoreOptions::default()).expect("open")
+    }
+
+    fn reopen(storage: &MemStorage) -> ConcurrentDb<MemStorage> {
+        open_empty(MemStorage::from_image(storage.image()))
+    }
+
+    fn view(db: &ConcurrentDb<MemStorage>, name: &str) -> Relation {
+        db.pin()
+            .views()
+            .get(name)
+            .map(|v| v.data().clone())
+            .expect("view exists")
+    }
+
+    #[test]
+    fn script_declarations_and_commits_survive_reopen() {
+        let storage = MemStorage::new();
+        let db = open_empty(storage.clone());
+        let results = db
+            .run_script(
+                "relation beer (name: str, alcperc: int);\n\
+                 begin insert(beer, values (str, int) {('Grolsch', 5)}); end\n\
+                 begin ?project[%1](beer); end",
+            )
+            .expect("script runs");
+        assert_eq!(results.len(), 2);
+        assert!(matches!(results[0], RunResult::Committed(_)));
+        let expected = db.pin().database().clone();
+        drop(db);
+
+        let recovered = reopen(&storage);
+        assert_eq!(recovered.pin().database(), &expected);
+        assert_eq!(
+            recovered
+                .pin()
+                .database()
+                .relation("beer")
+                .expect("declared")
+                .len(),
+            1
+        );
+    }
+
+    #[test]
+    fn script_views_are_durable() {
+        let storage = MemStorage::new();
+        let db = open_empty(storage.clone());
+        db.run_script(
+            "relation sales (region: str, amount: int);\n\
+             view totals = groupby[(region), SUM, amount](sales);\n\
+             insert(sales, values (str, int) {('north', 10), ('south', 7)});\n\
+             ?totals;",
+        )
+        .expect("script runs");
+        let expected = view(&db, "totals");
+        assert_eq!(
+            expected.multiplicity(&mera_core::tuple!["north", 10_i64]),
+            1
+        );
+        drop(db);
+
+        assert_eq!(view(&reopen(&storage), "totals"), expected);
+    }
+
+    #[test]
+    fn sql_views_are_durable() {
+        let storage = MemStorage::new();
+        let schema = DatabaseSchema::new()
+            .with(
+                "beer",
+                Schema::named(&[("name", DataType::Str), ("alcperc", DataType::Int)]),
+            )
+            .expect("fresh");
+        let db =
+            ConcurrentDb::open(storage.clone(), schema, StoreOptions::default()).expect("open");
+        db.run_sql("INSERT INTO beer VALUES ('Grolsch', 5), ('Bock', 7)")
+            .expect("dml");
+        db.run_sql("CREATE MATERIALIZED VIEW strong AS SELECT name FROM beer WHERE alcperc > 6")
+            .expect("creates view");
+        db.run_sql("INSERT INTO beer VALUES ('Tripel', 8)")
+            .expect("dml");
+        let out = db
+            .run_sql("SELECT * FROM strong")
+            .expect("query")
+            .expect("relation");
+        assert_eq!(out.len(), 2);
+        drop(db);
+
+        assert_eq!(view(&reopen(&storage), "strong").len(), 2);
+    }
+
+    #[test]
+    fn stacked_views_are_durable_and_cascade_after_reopen() {
+        let storage = MemStorage::new();
+        let db = open_empty(storage.clone());
+        // `strong` scans a base relation; `count_strong` scans `strong`
+        db.run_script(
+            "relation beer (name: str, alcperc: int);\n\
+             view strong = select[%2 > 5](beer);\n\
+             view count_strong = groupby[(), CNT, %1](strong);\n\
+             insert(beer, values (str, int) {('Grolsch', 5), ('Bock', 7)});",
+        )
+        .expect("script runs");
+        assert_eq!(
+            view(&db, "count_strong").multiplicity(&mera_core::tuple![1_i64]),
+            1
+        );
+        drop(db);
+
+        // recovery rebuilds both layers in declaration order…
+        let recovered = reopen(&storage);
+        assert_eq!(
+            view(&recovered, "count_strong").multiplicity(&mera_core::tuple![1_i64]),
+            1
+        );
+        // …and post-recovery writes still cascade through the stack
+        recovered
+            .run_script("insert(beer, values (str, int) {('Tripel', 8)});")
+            .expect("script runs");
+        assert_eq!(
+            view(&recovered, "count_strong").multiplicity(&mera_core::tuple![2_i64]),
+            1
+        );
+    }
+
+    #[test]
+    fn sql_views_on_views_are_durable() {
+        let storage = MemStorage::new();
+        let db = open_empty(storage.clone());
+        db.run_sql("CREATE TABLE beer (name TEXT, alcperc INT)")
+            .expect("ddl");
+        db.run_sql("INSERT INTO beer VALUES ('Grolsch', 5), ('Bock', 7), ('Tripel', 8)")
+            .expect("dml");
+        db.run_sql(
+            "CREATE MATERIALIZED VIEW strong AS SELECT name, alcperc FROM beer WHERE alcperc > 6",
+        )
+        .expect("first view");
+        db.run_sql(
+            "CREATE MATERIALIZED VIEW strongest AS SELECT name FROM strong WHERE alcperc > 7",
+        )
+        .expect("view on view");
+        assert_eq!(view(&db, "strongest").len(), 1);
+        drop(db);
+
+        let recovered = reopen(&storage);
+        assert_eq!(view(&recovered, "strongest").len(), 1);
+        recovered
+            .run_sql("INSERT INTO beer VALUES ('Quad', 10)")
+            .expect("dml");
+        assert_eq!(view(&recovered, "strongest").len(), 2);
+    }
+
+    #[test]
+    fn script_keys_are_durable_and_enforced() {
+        let storage = MemStorage::new();
+        let db = open_empty(storage.clone());
+        let results = db
+            .run_script(
+                "relation acct (id: int, owner: str);\n\
+                 key acct (%1);\n\
+                 begin insert(acct, values (int, str) {(1, 'ann')}); end\n\
+                 begin insert(acct, values (int, str) {(1, 'bob')}); end",
+            )
+            .expect("script runs");
+        assert!(matches!(results[0], RunResult::Committed(_)));
+        assert!(
+            matches!(results[1], RunResult::Aborted(_)),
+            "duplicate key must abort: {:?}",
+            results[1]
+        );
+        drop(db);
+
+        let results = reopen(&storage)
+            .run_script("begin insert(acct, values (int, str) {(1, 'eve')}); end")
+            .expect("script runs");
+        assert!(
+            matches!(results[0], RunResult::Aborted(_)),
+            "key declaration must survive reopen: {:?}",
+            results[0]
+        );
+    }
+
+    #[test]
+    fn sql_unique_keys_are_durable_and_enforced() {
+        let storage = MemStorage::new();
+        let db = open_empty(storage.clone());
+        db.run_sql("CREATE TABLE member (id INT PRIMARY KEY, email TEXT UNIQUE)")
+            .expect("creates table");
+        db.run_sql("INSERT INTO member VALUES (1, 'ann@x')")
+            .expect("dml");
+        let err = db
+            .run_sql("INSERT INTO member VALUES (2, 'ann@x')")
+            .unwrap_err();
+        assert!(
+            matches!(err, StoreError::TransactionAborted(_)),
+            "UNIQUE violation must abort: {err}"
+        );
+        drop(db);
+
+        let recovered = reopen(&storage);
+        assert_eq!(
+            recovered
+                .pin()
+                .database()
+                .relation("member")
+                .expect("t")
+                .len(),
+            1
+        );
+        let err = recovered
+            .run_sql("INSERT INTO member VALUES (3, 'ann@x')")
+            .unwrap_err();
+        assert!(
+            matches!(err, StoreError::TransactionAborted(_)),
+            "UNIQUE key must survive reopen: {err}"
+        );
+        recovered
+            .run_sql("INSERT INTO member VALUES (3, 'bob@x')")
+            .expect("distinct ok");
+    }
+
+    #[test]
+    fn sql_dml_is_durable_and_queries_read_it() {
+        let storage = MemStorage::new();
+        let schema = DatabaseSchema::new()
+            .with(
+                "beer",
+                Schema::named(&[("name", DataType::Str), ("alcperc", DataType::Int)]),
+            )
+            .expect("fresh");
+        let db =
+            ConcurrentDb::open(storage.clone(), schema, StoreOptions::default()).expect("open");
+        assert!(db
+            .run_sql("INSERT INTO beer VALUES ('Grolsch', 5)")
+            .expect("dml")
+            .is_none());
+        let out = db
+            .run_sql("SELECT name FROM beer WHERE alcperc >= 5")
+            .expect("query")
+            .expect("relation");
+        assert_eq!(out.len(), 1);
+        let expected = db.pin().database().clone();
+        drop(db);
+
+        assert_eq!(reopen(&storage).pin().database(), &expected);
     }
 }

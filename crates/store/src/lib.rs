@@ -7,41 +7,43 @@
 //! therefore the whole state sequence — survive process death:
 //!
 //! * [`wal`] — a write-ahead log of length-prefixed, CRC-32-checked,
-//!   versioned records: one `Commit` per committed transaction (logical
-//!   time + the program as XRA text) and one `Declare` per relation added
-//!   to the schema. Recovery truncates torn tails; CRC-valid garbage is a
-//!   hard error.
+//!   versioned records: one `Commit` per committed writing transaction
+//!   (logical time + the program as XRA text) and one `Declare` per
+//!   relation added to the schema. Recovery truncates torn tails;
+//!   CRC-valid garbage is a hard error.
 //! * [`snapshot`] — checkpoint images of a full [`Database`] at one
 //!   logical time, swapped in atomically so a crash never exposes a
 //!   half-written snapshot.
-//! * [`DurableDb`] — the engine wrapper enforcing log-then-publish: a
-//!   commit is appended (and fsynced, per [`FsyncPolicy`]) before the new
-//!   state is visible; aborts write nothing.
-//! * [`DurableSession`] / [`run_sql`] — the XRA-script and SQL front-ends
-//!   over a durable database.
+//! * [`ConcurrentDb`] — the durable database: MVCC snapshots over a
+//!   version chain, with log-then-publish commits through a shared WAL and
+//!   cross-client group commit. A commit is acknowledged only once its
+//!   record is written and, unless [`FsyncPolicy::Never`], fsynced;
+//!   aborts and read-only transactions write nothing. [`ConcurrentDb::open`] runs recovery,
+//!   and [`ConcurrentDb::run_sql`] / [`ConcurrentDb::run_script`] are its
+//!   SQL and XRA-script front doors.
 //! * [`Storage`] — the five-operation backend trait, with [`DirStorage`]
 //!   (real files) and [`MemStorage`] (deterministic fault injection:
 //!   crash after N write units, inspect the surviving bytes, reboot).
 //!
-//! The crash-recovery contract, tested by the crash matrix in
-//! `tests/crash_matrix.rs`: after a crash at *any* write boundary,
+//! The crash-recovery contract, tested by the crash matrices in
+//! `tests/*crash_matrix.rs`: after a crash at *any* write boundary,
 //! recovery yields exactly the state produced by some prefix of the
 //! durable history — never a torn state, never reordered effects.
 //!
 //! ```
 //! use mera_core::prelude::*;
-//! use mera_store::{DurableDb, MemStorage, StoreOptions};
+//! use mera_store::{ConcurrentDb, MemStorage, StoreOptions};
 //!
 //! let schema = DatabaseSchema::new()
 //!     .with("beer", Schema::named(&[("name", DataType::Str)]))?;
 //! let disk = MemStorage::new();
-//! let mut db = DurableDb::open(disk.clone(), schema, StoreOptions::default())?;
-//! mera_store::run_sql(&mut db, "INSERT INTO beer VALUES ('Grolsch')")?;
+//! let db = ConcurrentDb::open(disk.clone(), schema, StoreOptions::default())?;
+//! db.run_sql("INSERT INTO beer VALUES ('Grolsch')")?;
 //! drop(db); // "power loss"
 //!
 //! let rebooted = MemStorage::from_image(disk.image());
-//! let db = DurableDb::open(rebooted, DatabaseSchema::new(), StoreOptions::default())?;
-//! assert_eq!(db.database().relation("beer")?.len(), 1);
+//! let db = ConcurrentDb::open(rebooted, DatabaseSchema::new(), StoreOptions::default())?;
+//! assert_eq!(db.pin().database().relation("beer")?.len(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -51,19 +53,17 @@
 pub mod codec;
 pub mod concurrent;
 pub mod crc;
-pub mod durable;
 pub mod error;
-pub mod session;
+mod recovery;
 pub mod snapshot;
 pub mod storage;
 pub mod wal;
 
-pub use concurrent::{is_conflict, ConcurrentDb};
-pub use durable::{DurableDb, DurableParts, FsyncPolicy, StoreOptions, SNAPSHOT_FILE, WAL_FILE};
+pub use concurrent::{is_conflict, ConcurrentDb, FsyncPolicy, StoreOptions};
 pub use error::{StoreError, StoreResult};
-pub use session::{run_sql, DurableSession};
+pub use snapshot::SNAPSHOT_FILE;
 pub use storage::{DirStorage, MemStorage, Storage};
-pub use wal::{ScanResult, WalRecord};
+pub use wal::{ScanResult, WalRecord, WAL_FILE};
 
 #[cfg(doc)]
 use mera_core::prelude::Database;

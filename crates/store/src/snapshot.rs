@@ -33,6 +33,11 @@ use crate::crc::crc32;
 use crate::error::{StoreError, StoreResult};
 use mera_core::prelude::*;
 
+/// Name of the checkpoint snapshot file inside a [`Storage`] root.
+///
+/// [`Storage`]: crate::storage::Storage
+pub const SNAPSHOT_FILE: &str = "mera.snapshot";
+
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MERASNP1";
 

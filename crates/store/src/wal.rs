@@ -54,6 +54,11 @@ use crate::crc::crc32;
 use crate::error::{StoreError, StoreResult};
 use mera_core::prelude::*;
 
+/// Name of the write-ahead log file inside a [`Storage`] root.
+///
+/// [`Storage`]: crate::storage::Storage
+pub const WAL_FILE: &str = "mera.wal";
+
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"MERAWAL1";
 

@@ -12,13 +12,14 @@
 //! The oracle is independent of the recovery code: a shadow database is
 //! advanced with [`run_transaction_checked`] (the volatile engine) as the
 //! fault-free run commits, snapshotting the expected state at every
-//! durable event boundary. Aborted transactions tick the live clock but
-//! are, by design, absent from durable history; the shadow (like
-//! recovery) re-derives those ticks from the commit times themselves.
+//! durable event boundary. Aborted and read-only transactions publish no
+//! version — they neither tick the clock nor write the log — so a program
+//! that commits without advancing the pinned time is not a durable event
+//! and the shadow skips it.
 
 use mera_core::prelude::*;
 use mera_lang::Lowerer;
-use mera_store::{DurableDb, MemStorage, StoreError, StoreOptions};
+use mera_store::{ConcurrentDb, MemStorage, StoreError, StoreOptions};
 use mera_txn::{run_transaction_checked, ConstraintSet, Outcome, Program};
 
 /// One step of the workload.
@@ -98,7 +99,7 @@ fn drive(storage: MemStorage) -> Vec<(u64, Database)> {
     let mut states = vec![(0, Database::new(DatabaseSchema::new()))];
     let mut shadow = Database::new(DatabaseSchema::new());
 
-    let mut durable = match DurableDb::open(
+    let durable = match ConcurrentDb::open(
         storage.clone(),
         DatabaseSchema::new(),
         StoreOptions::default(),
@@ -118,13 +119,20 @@ fn drive(storage: MemStorage) -> Vec<(u64, Database)> {
                         .expect("shadow declare");
                 }),
             Op::Commit(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
+                let (before, units) = (durable.pin().time(), storage.units_written());
                 durable.execute(&program).map(|_| {
-                    shadow_commit(&mut shadow, &program, durable.database().time());
+                    let after = durable.pin().time();
+                    if after > before {
+                        shadow_commit(&mut shadow, &program, after);
+                    } else {
+                        // a read-only commit is not a durable event
+                        assert_eq!(storage.units_written(), units, "read-only commit logged");
+                    }
                 })
             }
             Op::Abort(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
                 match durable.execute(&program) {
                     Err(StoreError::TransactionAborted(_)) => Ok(()), // not a durable event
                     Err(other) => Err(other),
@@ -170,13 +178,16 @@ fn recovery_equals_committed_prefix_at_every_crash_point() {
     );
 
     // Fault-free reboot sanity check: full image recovers the final state.
-    let recovered = DurableDb::open(
+    let recovered = ConcurrentDb::open(
         MemStorage::from_image(clean.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
     .expect("clean recovery");
-    assert_eq!(recovered.database(), &oracle.last().expect("events ran").1);
+    assert_eq!(
+        recovered.pin().database(),
+        &oracle.last().expect("events ran").1
+    );
 
     // The matrix: crash after every single write unit.
     for budget in 0..=total {
@@ -184,7 +195,7 @@ fn recovery_equals_committed_prefix_at_every_crash_point() {
         let _ = drive(storage.clone());
         let image = storage.image();
 
-        let recovered = DurableDb::open(
+        let recovered = ConcurrentDb::open(
             MemStorage::from_image(image),
             DatabaseSchema::new(),
             StoreOptions::default(),
@@ -198,7 +209,7 @@ fn recovery_equals_committed_prefix_at_every_crash_point() {
             .expect("oracle is seeded with the zero-mark state")
             .1;
         assert_eq!(
-            recovered.database(),
+            recovered.pin().database(),
             expected,
             "crash at write unit {budget}/{total}: recovered state is not \
              the committed prefix durable at that point"
@@ -209,11 +220,10 @@ fn recovery_equals_committed_prefix_at_every_crash_point() {
 #[test]
 fn oracle_and_live_engine_agree_on_the_full_run() {
     // With no faults, the durable engine's final state must match the
-    // shadow except for clock ticks of aborted attempts *after* the last
-    // commit (there are none in this workload — the last op commits).
+    // shadow exactly, logical time included.
     let storage = MemStorage::new();
     let oracle = drive(storage.clone());
-    let durable = DurableDb::open(
+    let durable = ConcurrentDb::open(
         MemStorage::from_image(storage.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
@@ -221,7 +231,8 @@ fn oracle_and_live_engine_agree_on_the_full_run() {
     .expect("recovers");
 
     // Independently re-run the whole history on the volatile engine,
-    // aborts included, and compare relation contents.
+    // aborts included (they tick its clock), and compare relation
+    // contents.
     let mut live = Database::new(DatabaseSchema::new());
     for op in workload() {
         match op {
@@ -241,7 +252,8 @@ fn oracle_and_live_engine_agree_on_the_full_run() {
             Op::Checkpoint => {}
         }
     }
-    let recovered = durable.database();
+    let version = durable.pin();
+    let recovered = version.database();
     assert_eq!(recovered, &oracle.last().expect("ran").1);
     for name in live.relation_names() {
         assert_eq!(

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use mera_core::prelude::*;
 use mera_lang::Lowerer;
-use mera_store::{DurableDb, MemStorage, StoreError, StoreOptions};
+use mera_store::{ConcurrentDb, MemStorage, StoreError, StoreOptions};
 use mera_txn::{
     run_transaction_cataloged, CatalogStats, CommitCatalog, ConstraintSet, KeySet, Outcome, Program,
 };
@@ -139,7 +139,7 @@ fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
     let mut states = vec![(0, Shadow::new())];
     let mut shadow = Shadow::new();
 
-    let mut durable = match DurableDb::open(
+    let durable = match ConcurrentDb::open(
         storage.clone(),
         DatabaseSchema::new(),
         StoreOptions::default(),
@@ -167,13 +167,20 @@ fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
                     .expect("workload keys hold on declaration");
             }),
             Op::Commit(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
+                let (before, units) = (durable.pin().time(), storage.units_written());
                 durable.execute(&program).map(|_| {
-                    shadow.commit(&program, durable.database().time());
+                    let after = durable.pin().time();
+                    if after > before {
+                        shadow.commit(&program, after);
+                    } else {
+                        // a read-only commit is not a durable event
+                        assert_eq!(storage.units_written(), units, "read-only commit logged");
+                    }
                 })
             }
             Op::ViolatingCommit(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
                 match durable.execute(&program) {
                     Err(StoreError::TransactionAborted(reason)) => {
                         assert!(
@@ -210,10 +217,14 @@ fn snapshot_of(shadow: &Shadow) -> Shadow {
 
 /// Asserts the recovered keys agree with the shadow at one durable prefix
 /// — definitionally and behaviourally.
-fn assert_keys_match(recovered: &mut DurableDb<MemStorage>, expected: &Shadow, label: &str) {
-    assert_eq!(recovered.database(), &expected.db, "{label}: base state");
+fn assert_keys_match(recovered: &ConcurrentDb<MemStorage>, expected: &Shadow, label: &str) {
     assert_eq!(
-        recovered.key_definitions(),
+        recovered.pin().database(),
+        &expected.db,
+        "{label}: base state"
+    );
+    assert_eq!(
+        recovered.pin().keys().definitions(),
         expected.keys.definitions(),
         "{label}: key definitions"
     );
@@ -222,7 +233,7 @@ fn assert_keys_match(recovered: &mut DurableDb<MemStorage>, expected: &Shadow, l
     // declared key with data, re-inserting an existing tuple must abort
     // (its key point is occupied), and the abort must leave the state
     // unchanged.
-    for (relation, _) in recovered.key_definitions() {
+    for (relation, _) in recovered.pin().keys().definitions() {
         let rel = expected.db.relation(&relation).expect("keyed relation");
         let Some(t) = rel.support().next() else {
             continue;
@@ -244,8 +255,8 @@ fn assert_keys_match(recovered: &mut DurableDb<MemStorage>, expected: &Shadow, l
             .collect::<Vec<_>>()
             .join(", ");
         let text = format!("insert({relation}, values ({types}) {{({values})}})");
-        let program = parse(recovered.database(), &text);
-        let before = recovered.database().clone();
+        let program = parse(recovered.pin().database(), &text);
+        let before = recovered.pin().database().clone();
         match recovered.execute(&program) {
             Err(StoreError::TransactionAborted(reason)) => {
                 assert!(
@@ -257,17 +268,16 @@ fn assert_keys_match(recovered: &mut DurableDb<MemStorage>, expected: &Shadow, l
                 panic!("{label}: duplicate insert into '{relation}' must abort, got {other:?}")
             }
         }
-        // restore logical time parity for the equality checks above by
-        // reopening from the same image is overkill; the abort only ticks
-        // time, contents are unchanged
+        // the abort publishes no version: schema and contents are
+        // unchanged
         assert_eq!(
-            recovered.database().schema(),
+            recovered.pin().database().schema(),
             before.schema(),
             "{label}: abort must not change the schema"
         );
         for name in before.relation_names() {
             assert_eq!(
-                recovered.database().relation(name).expect("relation"),
+                recovered.pin().database().relation(name).expect("relation"),
                 before.relation(name).expect("relation"),
                 "{label}: abort must not change '{name}'"
             );
@@ -291,20 +301,20 @@ fn recovered_keys_enforce_at_every_crash_point() {
     assert_eq!(member.len(), 2); // dick@losser, maurice@enschede
 
     // Fault-free reboot recovers definitions and enforcement.
-    let mut recovered = DurableDb::open(
+    let recovered = ConcurrentDb::open(
         MemStorage::from_image(clean.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
     .expect("clean recovery");
-    assert_keys_match(&mut recovered, final_shadow, "fault-free reboot");
+    assert_keys_match(&recovered, final_shadow, "fault-free reboot");
 
     // The matrix: crash after every single write unit.
     for budget in 0..=total {
         let storage = MemStorage::with_budget(budget);
         let _ = drive(storage.clone());
 
-        let mut recovered = DurableDb::open(
+        let recovered = ConcurrentDb::open(
             MemStorage::from_image(storage.image()),
             DatabaseSchema::new(),
             StoreOptions::default(),
@@ -317,7 +327,7 @@ fn recovered_keys_enforce_at_every_crash_point() {
             .find(|(mark, _)| *mark <= budget)
             .expect("oracle is seeded with the zero-mark state");
         assert_keys_match(
-            &mut recovered,
+            &recovered,
             expected,
             &format!("crash at write unit {budget}/{total}"),
         );

@@ -1,12 +1,12 @@
 //! Recovery scenarios beyond the crash matrix: real files on disk, torn
-//! tails, hard corruption, checkpoint compaction, fsync policies, and
-//! degenerate records.
+//! tails, hard corruption, checkpoint compaction, fsync policies,
+//! degenerate records, and logs written by earlier versions of the store.
 
 use mera_core::prelude::*;
 use mera_lang::Lowerer;
 use mera_store::{
-    DirStorage, DurableDb, FsyncPolicy, MemStorage, Storage, StoreError, StoreOptions, WalRecord,
-    SNAPSHOT_FILE, WAL_FILE,
+    wal, ConcurrentDb, DirStorage, FsyncPolicy, MemStorage, Storage, StoreError, StoreOptions,
+    StoreResult, WalRecord, SNAPSHOT_FILE, WAL_FILE,
 };
 use mera_txn::Program;
 
@@ -19,10 +19,19 @@ fn schema() -> DatabaseSchema {
         .expect("fresh")
 }
 
-fn parse(db: &Database, text: &str) -> Program {
+fn parse<S: Storage>(db: &ConcurrentDb<S>, text: &str) -> Program {
     let parsed = mera_lang::parse_program(text).expect("parses");
-    let mut lowerer = Lowerer::new(db.schema());
+    let catalog = db.pin().catalog_schema();
+    let mut lowerer = Lowerer::new(&catalog);
     lowerer.lower_program(&parsed).expect("lowers")
+}
+
+fn open<S: Storage>(storage: S) -> ConcurrentDb<S> {
+    ConcurrentDb::open(storage, schema(), StoreOptions::default()).expect("open")
+}
+
+fn recover<S: Storage>(storage: S) -> StoreResult<ConcurrentDb<S>> {
+    ConcurrentDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
 }
 
 fn insert(owner: &str, balance: i64) -> String {
@@ -51,42 +60,38 @@ impl Drop for TempDir {
 fn real_files_survive_process_restart() {
     let dir = TempDir::new("restart");
     let expected = {
-        let storage = DirStorage::open(&dir.0).expect("open dir");
-        let mut db = DurableDb::open(storage, schema(), StoreOptions::default()).expect("open");
+        let db = open(DirStorage::open(&dir.0).expect("open dir"));
         for (owner, amount) in [("ann", 10_i64), ("bob", 20), ("cho", 30)] {
-            let p = parse(db.database(), &insert(owner, amount));
-            db.execute(&p).expect("commits");
+            db.execute(&parse(&db, &insert(owner, amount)))
+                .expect("commits");
         }
-        db.database().clone()
-    }; // DurableDb dropped: "process exit"
+        db.pin().database().clone()
+    }; // ConcurrentDb dropped: "process exit"
 
     let storage = DirStorage::open(&dir.0).expect("reopen dir");
-    let recovered =
-        DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default()).expect("recovers");
-    assert_eq!(recovered.database(), &expected);
+    let recovered = recover(storage).expect("recovers");
+    assert_eq!(recovered.pin().database(), &expected);
 
     // ... and keeps working: append more history, restart again.
-    let mut db = recovered;
-    let p = parse(db.database(), &insert("dee", 40));
-    db.execute(&p).expect("commits after recovery");
-    let expected = db.database().clone();
+    let db = recovered;
+    db.execute(&parse(&db, &insert("dee", 40)))
+        .expect("commits after recovery");
+    let expected = db.pin().database().clone();
     drop(db);
 
     let storage = DirStorage::open(&dir.0).expect("reopen dir");
-    let recovered =
-        DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default()).expect("recovers");
-    assert_eq!(recovered.database(), &expected);
+    let recovered = recover(storage).expect("recovers");
+    assert_eq!(recovered.pin().database(), &expected);
 }
 
 #[test]
 fn torn_tail_on_disk_is_truncated_and_the_log_reusable() {
     let dir = TempDir::new("torn");
     let expected = {
-        let storage = DirStorage::open(&dir.0).expect("open dir");
-        let mut db = DurableDb::open(storage, schema(), StoreOptions::default()).expect("open");
-        let p = parse(db.database(), &insert("ann", 10));
-        db.execute(&p).expect("commits");
-        db.database().clone()
+        let db = open(DirStorage::open(&dir.0).expect("open dir"));
+        db.execute(&parse(&db, &insert("ann", 10)))
+            .expect("commits");
+        db.pin().database().clone()
     };
 
     // Simulate a crash mid-append: half a frame of a would-be commit.
@@ -97,26 +102,25 @@ fn torn_tail_on_disk_is_truncated_and_the_log_reusable() {
     drop(storage);
 
     let storage = DirStorage::open(&dir.0).expect("reopen");
-    let mut recovered = DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
-        .expect("torn tail is recoverable");
-    assert_eq!(recovered.database(), &expected);
+    let recovered = recover(storage).expect("torn tail is recoverable");
+    assert_eq!(recovered.pin().database(), &expected);
 
     // The tail was truncated, so new commits append at a frame boundary.
-    let p = parse(recovered.database(), &insert("bob", 20));
-    recovered.execute(&p).expect("commits after truncation");
-    let expected = recovered.database().clone();
+    recovered
+        .execute(&parse(&recovered, &insert("bob", 20)))
+        .expect("commits after truncation");
+    let expected = recovered.pin().database().clone();
     drop(recovered);
 
     let storage = DirStorage::open(&dir.0).expect("reopen");
-    let recovered =
-        DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default()).expect("recovers");
-    assert_eq!(recovered.database(), &expected);
+    let recovered = recover(storage).expect("recovers");
+    assert_eq!(recovered.pin().database(), &expected);
 }
 
 #[test]
 fn crc_valid_garbage_fails_recovery_loudly() {
     let mut storage = MemStorage::new();
-    drop(DurableDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open"));
+    drop(open(storage.clone()));
 
     // An honest frame around a payload from "the future" (bad version).
     let payload = [42u8, 1, 2, 3];
@@ -125,19 +129,17 @@ fn crc_valid_garbage_fails_recovery_loudly() {
     frame.extend_from_slice(&payload);
     storage.append(WAL_FILE, &frame).expect("raw append");
 
-    let err = DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
-        .expect_err("intact-but-unreadable records must not be dropped");
+    let err = recover(storage).expect_err("intact-but-unreadable records must not be dropped");
     assert!(matches!(err, StoreError::CorruptWal(_)), "got {err:?}");
 }
 
 #[test]
 fn checkpoint_compacts_the_log_on_disk() {
     let dir = TempDir::new("compact");
-    let storage = DirStorage::open(&dir.0).expect("open dir");
-    let mut db = DurableDb::open(storage, schema(), StoreOptions::default()).expect("open");
+    let db = open(DirStorage::open(&dir.0).expect("open dir"));
     for i in 0..20_i64 {
-        let p = parse(db.database(), &insert("acct", i));
-        db.execute(&p).expect("commits");
+        db.execute(&parse(&db, &insert("acct", i)))
+            .expect("commits");
     }
     let wal_path = dir.0.join(WAL_FILE);
     let before = std::fs::metadata(&wal_path).expect("wal exists").len();
@@ -147,19 +149,21 @@ fn checkpoint_compacts_the_log_on_disk() {
     assert_eq!(after, 8, "checkpoint resets the WAL to its header");
     assert!(dir.0.join(SNAPSHOT_FILE).exists());
 
-    let expected = db.database().clone();
+    let expected = db.pin().database().clone();
     drop(db);
     let storage = DirStorage::open(&dir.0).expect("reopen");
-    let recovered = DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
-        .expect("snapshot restore");
-    assert_eq!(recovered.database(), &expected);
+    let recovered = recover(storage).expect("snapshot restore");
+    assert_eq!(recovered.pin().database(), &expected);
 }
 
 #[test]
 fn fsync_policies_flush_at_the_promised_cadence() {
+    // Every policy but `Never` acknowledges a commit only once it is
+    // durable: with one committer, `EveryN` leads a one-frame group per
+    // commit, so it syncs exactly as often as `Always`.
     let cases: [(FsyncPolicy, u64); 3] = [
         (FsyncPolicy::Always, 4),
-        (FsyncPolicy::EveryN(2), 2),
+        (FsyncPolicy::EveryN(2), 4),
         (FsyncPolicy::Never, 0),
     ];
     for (policy, expected_syncs) in cases {
@@ -168,11 +172,10 @@ fn fsync_policies_flush_at_the_promised_cadence() {
             fsync: policy,
             ..StoreOptions::default()
         };
-        let mut db = DurableDb::open(storage.clone(), schema(), options).expect("open");
+        let db = ConcurrentDb::open(storage.clone(), schema(), options).expect("open");
         let base = storage.sync_count();
         for i in 0..4_i64 {
-            let p = parse(db.database(), &insert("ann", i));
-            db.execute(&p).expect("commits");
+            db.execute(&parse(&db, &insert("ann", i))).expect("commits");
         }
         assert_eq!(
             storage.sync_count() - base,
@@ -180,64 +183,53 @@ fn fsync_policies_flush_at_the_promised_cadence() {
             "policy {policy:?}"
         );
         // Whatever the policy, the bytes are on (simulated) disk.
-        let recovered = DurableDb::open(
-            MemStorage::from_image(storage.image()),
-            DatabaseSchema::new(),
-            StoreOptions::default(),
-        )
-        .expect("recovers");
-        assert_eq!(recovered.database(), db.database());
+        let recovered = recover(MemStorage::from_image(storage.image())).expect("recovers");
+        assert_eq!(recovered.pin().database(), db.pin().database());
     }
 }
 
 #[test]
 fn empty_program_commits_and_replays() {
     let storage = MemStorage::new();
-    let mut db = DurableDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open");
+    let db = open(storage.clone());
+    let units = storage.units_written();
     db.execute(&Program::new()).expect("empty program commits");
     db.execute(&Program::new()).expect("twice");
-    let expected = db.database().clone();
-    assert_eq!(expected.time(), 2);
+    let expected = db.pin().database().clone();
+    // an empty program changes nothing: no version, no tick, no record
+    assert_eq!(expected.time(), 0);
+    assert_eq!(storage.units_written(), units);
     drop(db);
 
-    let recovered = DurableDb::open(
-        MemStorage::from_image(storage.image()),
-        DatabaseSchema::new(),
-        StoreOptions::default(),
-    )
-    .expect("recovers");
-    assert_eq!(recovered.database(), &expected);
+    let recovered = recover(MemStorage::from_image(storage.image())).expect("recovers");
+    assert_eq!(recovered.pin().database(), &expected);
 }
 
 #[test]
 fn snapshot_without_wal_restores_and_restarts_the_log() {
     let storage = MemStorage::new();
-    let mut db = DurableDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open");
-    let p = parse(db.database(), &insert("ann", 10));
-    db.execute(&p).expect("commits");
+    let db = open(storage.clone());
+    db.execute(&parse(&db, &insert("ann", 10)))
+        .expect("commits");
     db.checkpoint().expect("checkpoint");
-    let expected = db.database().clone();
+    let expected = db.pin().database().clone();
     drop(db);
 
     let mut image = storage.image();
     image.remove(WAL_FILE).expect("wal existed");
-    let mut recovered = DurableDb::open(
-        MemStorage::from_image(image),
-        DatabaseSchema::new(),
-        StoreOptions::default(),
-    )
-    .expect("snapshot alone suffices");
-    assert_eq!(recovered.database(), &expected);
+    let recovered = recover(MemStorage::from_image(image)).expect("snapshot alone suffices");
+    assert_eq!(recovered.pin().database(), &expected);
 
     // The log restarts cleanly.
-    let p = parse(recovered.database(), &insert("bob", 20));
-    recovered.execute(&p).expect("commits");
+    recovered
+        .execute(&parse(&recovered, &insert("bob", 20)))
+        .expect("commits");
 }
 
 #[test]
 fn conflicting_redeclaration_in_the_log_is_corruption() {
     let mut storage = MemStorage::new();
-    drop(DurableDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open"));
+    drop(open(storage.clone()));
 
     // Forge a declare for an existing relation with a different schema.
     let record = WalRecord::Declare {
@@ -248,7 +240,75 @@ fn conflicting_redeclaration_in_the_log_is_corruption() {
         .append(WAL_FILE, &record.encode_frame())
         .expect("raw append");
 
-    let err = DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
-        .expect_err("schema conflict must fail recovery");
+    let err = recover(storage).expect_err("schema conflict must fail recovery");
     assert!(matches!(err, StoreError::CorruptWal(_)), "got {err:?}");
+}
+
+#[test]
+fn logs_with_time_gaps_and_empty_commits_still_recover() {
+    // Earlier versions of the store ticked logical time on aborts
+    // without logging them, and logged empty programs as commits with
+    // empty text. Such a log: a commit at t=1, an unlogged abort at t=2,
+    // a commit at t=3 and an empty commit at t=4.
+    let mut bytes = wal::empty_wal();
+    let records = [
+        WalRecord::Declare {
+            name: "accounts".to_string(),
+            schema: Schema::named(&[("owner", DataType::Str), ("balance", DataType::Int)]),
+        },
+        WalRecord::Commit {
+            time: 1,
+            text: insert("ann", 10),
+        },
+        WalRecord::Commit {
+            time: 3,
+            text: insert("bob", 20),
+        },
+        WalRecord::Commit {
+            time: 4,
+            text: String::new(),
+        },
+    ];
+    for record in &records {
+        bytes.extend_from_slice(&record.encode_frame());
+    }
+    let mut storage = MemStorage::new();
+    storage.replace_atomic(WAL_FILE, &bytes).expect("writes");
+
+    let db = recover(storage.clone()).expect("recovers");
+    let version = db.pin();
+    assert_eq!(
+        version.time(),
+        4,
+        "recovery lands on the last record's time"
+    );
+    let accounts = version.database().relation("accounts").expect("declared");
+    assert_eq!(accounts.len(), 2);
+    assert_eq!(accounts.multiplicity(&mera_core::tuple!["ann", 10_i64]), 1);
+    assert_eq!(accounts.multiplicity(&mera_core::tuple!["bob", 20_i64]), 1);
+
+    // The next commit lands right after the recovered time...
+    db.execute(&parse(&db, &insert("cho", 30)))
+        .expect("commits");
+    assert_eq!(db.pin().time(), 5);
+    drop(db);
+
+    // ...and is logged at that time, so the extended log recovers too.
+    let image = storage.image();
+    let scanned = wal::scan(&image[WAL_FILE]).expect("scans");
+    match scanned.records.last() {
+        Some(WalRecord::Commit { time, .. }) => assert_eq!(*time, 5),
+        other => panic!("expected a trailing commit, got {other:?}"),
+    }
+    let recovered = recover(MemStorage::from_image(image)).expect("recovers");
+    assert_eq!(recovered.pin().time(), 5);
+    assert_eq!(
+        recovered
+            .pin()
+            .database()
+            .relation("accounts")
+            .expect("declared")
+            .len(),
+        3
+    );
 }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use mera_core::prelude::*;
 use mera_lang::Lowerer;
-use mera_store::{DurableDb, MemStorage, StoreError, StoreOptions};
+use mera_store::{ConcurrentDb, MemStorage, StoreError, StoreOptions};
 use mera_txn::{
     run_transaction_cataloged, CatalogStats, CommitCatalog, ConstraintSet, HashIndex, IndexSet,
     Outcome, Program,
@@ -53,7 +53,7 @@ fn customers_schema() -> Schema {
 
 /// Churn against two indexed base relations: index creation *between*
 /// commits, deletes that hit index keys and min/max boundaries, an abort
-/// (ticks time, writes nothing), and a checkpoint followed by more churn —
+/// (publishes nothing, writes nothing), and a checkpoint followed by more churn —
 /// so recovery exercises snapshot + re-seeded `DeclareIndex` records + a
 /// live log tail together.
 fn workload() -> Vec<Op> {
@@ -140,7 +140,7 @@ fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
     let mut states = vec![(0, Shadow::new())];
     let mut shadow = Shadow::new();
 
-    let mut durable = match DurableDb::open(
+    let durable = match ConcurrentDb::open(
         storage.clone(),
         DatabaseSchema::new(),
         StoreOptions::default(),
@@ -167,13 +167,20 @@ fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
                     .expect("shadow index creation");
             }),
             Op::Commit(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
+                let (before, units) = (durable.pin().time(), storage.units_written());
                 durable.execute(&program).map(|_| {
-                    shadow.commit(&program, durable.database().time());
+                    let after = durable.pin().time();
+                    if after > before {
+                        shadow.commit(&program, after);
+                    } else {
+                        // a read-only commit is not a durable event
+                        assert_eq!(storage.units_written(), units, "read-only commit logged");
+                    }
                 })
             }
             Op::Abort(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
                 match durable.execute(&program) {
                     Err(StoreError::TransactionAborted(_)) => Ok(()), // not a durable event
                     Err(other) => Err(other),
@@ -204,14 +211,15 @@ fn snapshot_of(shadow: &Shadow) -> Shadow {
 
 /// Asserts the recovered catalog agrees with the shadow at one durable
 /// prefix (see the module docs for the exact/conservative split).
-fn assert_catalog_matches(recovered: &DurableDb<MemStorage>, expected: &Shadow, label: &str) {
-    assert_eq!(recovered.database(), &expected.db, "{label}: base state");
+fn assert_catalog_matches(recovered: &ConcurrentDb<MemStorage>, expected: &Shadow, label: &str) {
+    let version = recovered.pin();
+    assert_eq!(version.database(), &expected.db, "{label}: base state");
 
     // Statistics: exact counters match the shadow exactly; sketch-backed
     // estimates and bounds must cover the actual column contents.
-    let stats = recovered.stats();
+    let stats = version.stats();
     assert!(
-        stats.is_current(recovered.database()),
+        stats.is_current(version.database()),
         "{label}: recovered stats must be stamped for the recovered state"
     );
     for (name, shadow_t) in expected.stats.tables() {
@@ -224,8 +232,8 @@ fn assert_catalog_matches(recovered: &DurableDb<MemStorage>, expected: &Shadow, 
             "{label}: distinct rows of '{name}'"
         );
     }
-    for name in recovered.database().relation_names() {
-        let rel = recovered.database().relation(name).expect("relation");
+    for name in version.database().relation_names() {
+        let rel = version.database().relation(name).expect("relation");
         let Some(rec_t) = stats.get(name) else {
             continue;
         };
@@ -254,15 +262,15 @@ fn assert_catalog_matches(recovered: &DurableDb<MemStorage>, expected: &Shadow, 
 
     // Indexes: same definitions as the shadow, and every recovered index
     // holds exactly what a fresh build over the recovered relation holds.
+    let indexes = version.indexes();
     assert_eq!(
-        recovered.index_definitions(),
+        indexes.definitions(),
         expected.indexes.definitions(),
         "{label}: index definitions"
     );
-    let indexes = recovered.indexes();
-    for (relation, keys) in recovered.index_definitions() {
+    for (relation, keys) in indexes.definitions() {
         let index = indexes.find(&relation, &keys).expect("defined index");
-        let rel = recovered.database().relation(&relation).expect("relation");
+        let rel = version.database().relation(&relation).expect("relation");
         let fresh = HashIndex::build(rel, &keys).expect("fresh build");
         assert_eq!(
             index.len(),
@@ -304,7 +312,7 @@ fn recovered_catalog_equals_shadow_catalog_at_every_crash_point() {
     assert_eq!(t.rows, 3);
 
     // Fault-free reboot recovers the full catalog.
-    let recovered = DurableDb::open(
+    let recovered = ConcurrentDb::open(
         MemStorage::from_image(clean.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
@@ -317,7 +325,7 @@ fn recovered_catalog_equals_shadow_catalog_at_every_crash_point() {
         let storage = MemStorage::with_budget(budget);
         let _ = drive(storage.clone());
 
-        let recovered = DurableDb::open(
+        let recovered = ConcurrentDb::open(
             MemStorage::from_image(storage.image()),
             DatabaseSchema::new(),
             StoreOptions::default(),

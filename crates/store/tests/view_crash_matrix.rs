@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use mera_core::prelude::*;
 use mera_expr::RelExpr;
 use mera_lang::Lowerer;
-use mera_store::{DurableDb, MemStorage, StoreError, StoreOptions};
+use mera_store::{ConcurrentDb, MemStorage, StoreError, StoreOptions};
 use mera_txn::{run_transaction_with_views, ConstraintSet, Outcome, Program, ViewSet};
 
 /// One step of the workload.
@@ -131,7 +131,7 @@ fn drive(storage: MemStorage) -> Vec<(u64, Database, ViewImage)> {
     let mut shadow = Database::new(DatabaseSchema::new());
     let mut shadow_views = ViewSet::new();
 
-    let mut durable = match DurableDb::open(
+    let durable = match ConcurrentDb::open(
         storage.clone(),
         DatabaseSchema::new(),
         StoreOptions::default(),
@@ -156,7 +156,7 @@ fn drive(storage: MemStorage) -> Vec<(u64, Database, ViewImage)> {
                         .expect("shadow declare");
                 }),
             Op::CreateView(name, text) => {
-                let expr = parse_rel(durable.database(), text);
+                let expr = parse_rel(durable.pin().database(), text);
                 durable.create_view(name, expr.clone()).map(|_| {
                     let config = mera_txn::ExecConfig {
                         analyze: false,
@@ -168,18 +168,20 @@ fn drive(storage: MemStorage) -> Vec<(u64, Database, ViewImage)> {
                 })
             }
             Op::Commit(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
+                let (before, units) = (durable.pin().time(), storage.units_written());
                 durable.execute(&program).map(|_| {
-                    shadow_commit(
-                        &mut shadow,
-                        &mut shadow_views,
-                        &program,
-                        durable.database().time(),
-                    );
+                    let after = durable.pin().time();
+                    if after > before {
+                        shadow_commit(&mut shadow, &mut shadow_views, &program, after);
+                    } else {
+                        // a read-only commit is not a durable event
+                        assert_eq!(storage.units_written(), units, "read-only commit logged");
+                    }
                 })
             }
             Op::Abort(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
                 match durable.execute(&program) {
                     Err(StoreError::TransactionAborted(_)) => Ok(()), // not a durable event
                     Err(other) => Err(other),
@@ -224,21 +226,21 @@ fn recovered_views_equal_shadow_views_at_every_crash_point() {
     assert_eq!(totals.len(), 1);
 
     // Fault-free reboot: full image recovers state and views exactly.
-    let recovered = DurableDb::open(
+    let recovered = ConcurrentDb::open(
         MemStorage::from_image(clean.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
     .expect("clean recovery");
-    assert_eq!(recovered.database(), final_db);
-    assert_eq!(view_image(recovered.views()), *final_views);
+    assert_eq!(recovered.pin().database(), final_db);
+    assert_eq!(view_image(recovered.pin().views()), *final_views);
 
     // The matrix: crash after every single write unit.
     for budget in 0..=total {
         let storage = MemStorage::with_budget(budget);
         let _ = drive(storage.clone());
 
-        let recovered = DurableDb::open(
+        let recovered = ConcurrentDb::open(
             MemStorage::from_image(storage.image()),
             DatabaseSchema::new(),
             StoreOptions::default(),
@@ -250,13 +252,14 @@ fn recovered_views_equal_shadow_views_at_every_crash_point() {
             .rev()
             .find(|(mark, _, _)| *mark <= budget)
             .expect("oracle is seeded with the zero-mark state");
+        let version = recovered.pin();
         assert_eq!(
-            recovered.database(),
+            version.database(),
             expected_db,
             "crash at write unit {budget}/{total}: base state diverged"
         );
         assert_eq!(
-            view_image(recovered.views()),
+            view_image(version.views()),
             *expected_views,
             "crash at write unit {budget}/{total}: recovered views are not \
              the incrementally-maintained views at that durable prefix"
